@@ -28,7 +28,7 @@ from .morphisms import (
     generator_inverse,
     is_special_sturmian,
 )
-from .words import RankedWord, _RANK_LETTERS, _inverted, _reduced
+from .words import _GENERATORS, FreeWord
 
 _SIGMA4_EXPANSION = (-3, -2, 1, 2, 3)
 _SIGMA4_INV_EXPANSION = (-3, -2, -1, 2, 3)
@@ -132,93 +132,31 @@ def delta(strands: int = 4) -> BraidWord:
     return BraidWord(strands, tuple(range(1, strands)))
 
 
-class RankedMorphism:
-    """An endomorphism of a free group of rank 2..4, by generator images."""
-
-    __slots__ = ("_rank", "_images")
-
-    def __init__(self, rank: int, images: tuple[RankedWord, ...]) -> None:
-        if len(images) != rank or any(w.rank != rank for w in images):
-            raise ValueError("expected %d images of rank %d" % (rank, rank))
-        self._rank = rank
-        self._images = images
-
-    @classmethod
-    def identity(cls, rank: int) -> RankedMorphism:
-        return cls(
-            rank, tuple(RankedWord(rank, ch) for ch in _RANK_LETTERS[:rank])
-        )
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def images(self) -> tuple[RankedWord, ...]:
-        return self._images
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            "%s -> %s" % (ch, img)
-            for ch, img in zip(_RANK_LETTERS, self._images)
-        )
-        return "RankedMorphism(%d, %s)" % (self._rank, body)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RankedMorphism)
-            and self._rank == other._rank
-            and self._images == other._images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._rank, self._images))
-
-    def __call__(self, w: RankedWord) -> RankedWord:
-        if w.rank != self._rank:
-            raise ValueError("rank mismatch: %d vs %d" % (w.rank, self._rank))
-        parts = []
-        for ch in w.letters:
-            img = self._images[_RANK_LETTERS.index(ch.lower())].letters
-            parts.append(img if ch.islower() else _inverted(img))
-        return RankedWord._make(self._rank, _reduced("".join(parts)))
-
-    def __mul__(self, other: RankedMorphism) -> RankedMorphism:
-        if not isinstance(other, RankedMorphism):
-            return NotImplemented
-        if self._rank != other._rank:
-            raise ValueError("rank mismatch: %d vs %d" % (self._rank, other._rank))
-        return RankedMorphism(self._rank, tuple(self(w) for w in other._images))
-
-
-_ARTIN_CACHE: dict[tuple[int, int], RankedMorphism] = {}
-
-
-def _artin_generator(rank: int, letter: int) -> RankedMorphism:
-    try:
-        return _ARTIN_CACHE[rank, letter]
-    except KeyError:
-        pass
+def _artin_generator(rank: int, letter: int) -> F2Morphism:
     i = abs(letter)
-    lo, hi = _RANK_LETTERS[i - 1], _RANK_LETTERS[i]
-    images = [RankedWord(rank, ch) for ch in _RANK_LETTERS[:rank]]
+    lo, hi = _GENERATORS[i - 1], _GENERATORS[i]
+    images = list(_GENERATORS[:rank])
     if letter > 0:
-        images[i - 1] = RankedWord(rank, lo + hi + lo.upper())
-        images[i] = RankedWord(rank, lo)
+        images[i - 1 : i + 1] = lo + hi + lo.upper(), lo
     else:
-        images[i - 1] = RankedWord(rank, hi)
-        images[i] = RankedWord(rank, hi.upper() + lo + hi)
-    m = RankedMorphism(rank, tuple(images))
-    _ARTIN_CACHE[rank, letter] = m
-    return m
+        images[i - 1 : i + 1] = hi, hi.upper() + lo + hi
+    return F2Morphism(*(FreeWord(s, rank) for s in images))
 
 
-def artin_action(w: BraidWord) -> RankedMorphism:
+_ARTIN = {
+    (rank, letter): _artin_generator(rank, letter)
+    for rank in (3, 4)
+    for i in range(1, rank)
+    for letter in (i, -i)
+}
+
+
+def artin_action(w: BraidWord) -> F2Morphism:
     """The action of the braid on the free group of rank `strands`."""
     w = w.expand()
-    out = RankedMorphism.identity(w.strands)
+    out = F2Morphism.identity(w.strands)
     for letter in w.letters:
-        out = out * _artin_generator(w.strands, letter)
+        out = out * _ARTIN[w.strands, letter]
     return out
 
 
@@ -298,32 +236,23 @@ class ExtBraid:
         return self.flag == other.flag and eq_mod_center(self.braid, other.braid)
 
 
-_F2_TABLE_BUILT: dict[int, F2Morphism] = {}
-
-
-def _f2_table() -> dict[int, F2Morphism]:
-    if not _F2_TABLE_BUILT:
-        _F2_TABLE_BUILT.update(
-            {
-                1: generator("G"),
-                -1: generator_inverse("G"),
-                2: generator_inverse("D"),
-                -2: generator("D"),
-                3: generator("Gt"),
-                -3: generator_inverse("Gt"),
-            }
-        )
-    return _F2_TABLE_BUILT
+_F2_ACTION = {
+    1: generator("G"),
+    -1: generator_inverse("G"),
+    2: generator_inverse("D"),
+    -2: generator("D"),
+    3: generator("Gt"),
+    -3: generator_inverse("Gt"),
+}
 
 
 def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt."""
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    table = _f2_table()
     out = F2Morphism.identity()
     for letter in w.expand().letters:
-        out = out * table[letter]
+        out = out * _F2_ACTION[letter]
     return out
 
 
@@ -335,28 +264,32 @@ def f2_action_ext(e: ExtBraid) -> F2Morphism:
     return out
 
 
+_GL2 = {
+    1: SHEAR_R,
+    -1: SHEAR_R.inverse(),
+    2: SHEAR_L.inverse(),
+    -2: SHEAR_L,
+    3: SHEAR_R,
+    -3: SHEAR_R.inverse(),
+}
+
+
 def gl2_image(w: BraidWord) -> Mat2:
     """The induced matrix on Z^2 (odd indices to the R shear, even to the inverse L shear)."""
-    table = {
-        1: SHEAR_R,
-        -1: SHEAR_R.inverse(),
-        2: SHEAR_L.inverse(),
-        -2: SHEAR_L,
-        3: SHEAR_R,
-        -3: SHEAR_R.inverse(),
-    }
     out = Mat2.identity()
     for letter in w.expand().letters:
-        out = out * table[letter]
+        out = out * _GL2[letter]
     return out
+
+
+_TO_B3 = {1: 1, -1: -1, 2: 2, -2: -2, 3: 1, -3: -1}
 
 
 def to_b3(w: BraidWord) -> BraidWord:
     """Collapse a four-strand word to three strands: 1, 3 -> 1 and 2 -> 2."""
     if w.strands != 4:
         raise ValueError("only four-strand words collapse to three strands")
-    table = {1: 1, -1: -1, 2: 2, -2: -2, 3: 1, -3: -1}
-    return BraidWord(3, tuple(table[l] for l in w.expand().letters))
+    return BraidWord(3, tuple(_TO_B3[l] for l in w.expand().letters))
 
 
 def acts_by_inner(w: BraidWord) -> bool:
@@ -364,12 +297,14 @@ def acts_by_inner(w: BraidWord) -> bool:
     return gl2_image(w) == Mat2.identity()
 
 
+_EMBED = {"G": 1, "Gt": 3, "D": -2, "Dt": -4}
+
+
 def embed_sturmian(word: SturmianWord) -> BraidWord:
     """The braid of a positive tree word: G -> 1, Gt -> 3, D -> -2, Dt -> -4."""
     if not is_special_sturmian(word):
         raise ValueError("only positive words over G, Gt, D, Dt embed")
-    table = {"G": 1, "Gt": 3, "D": -2, "Dt": -4}
-    return BraidWord(4, tuple(table[name] for name, _ in word))
+    return BraidWord(4, tuple(_EMBED[name] for name, _ in word))
 
 
 def from_aut_generator(name: str) -> ExtBraid:
@@ -387,14 +322,9 @@ def _b(*letters: int) -> BraidWord:
     return BraidWord(4, letters)
 
 
-def _suite_aut_triples(kmax: int) -> list[tuple[str, bool]]:
-    G = generator("G")
-    Gt = generator("Gt")
-    D = generator("D")
-    Dt = generator("Dt")
-    E = generator("E")
-    Di = generator_inverse("D")
-    Dti = generator_inverse("Dt")
+def _suite_aut_triples() -> list[tuple[str, bool]]:
+    G, Gt, D, Dt, E = map(generator, ("G", "Gt", "D", "Dt", "E"))
+    Di, Dti = map(generator_inverse, ("D", "Dt"))
     return [
         ("G D' G = D' G D'", G * Di * G == Di * G * Di),
         ("D' Gt D' = Gt D' Gt", Di * Gt * Di == Gt * Di * Gt),
@@ -410,7 +340,7 @@ def _suite_aut_triples(kmax: int) -> list[tuple[str, bool]]:
     ]
 
 
-def _suite_cyclic_generators(kmax: int) -> list[tuple[str, bool]]:
+def _suite_cyclic_generators() -> list[tuple[str, bool]]:
     d = delta()
     return [
         ("d s4 d' = s1", braid_equal(d * _b(4) * d.inverse(), _b(1))),
@@ -424,7 +354,7 @@ def _suite_cyclic_generators(kmax: int) -> list[tuple[str, bool]]:
     ]
 
 
-def _suite_mirror(kmax: int) -> list[tuple[str, bool]]:
+def _suite_mirror() -> list[tuple[str, bool]]:
     checks = [
         ("w(w(s%d)) = s%d" % (i, i), braid_equal(omega(omega(_b(i))), _b(i)))
         for i in (1, 2, 3, 4)
@@ -434,7 +364,7 @@ def _suite_mirror(kmax: int) -> list[tuple[str, bool]]:
     return checks
 
 
-def _suite_presentation_b4(kmax: int) -> list[tuple[str, bool]]:
+def _suite_presentation_b4() -> list[tuple[str, bool]]:
     d = delta()
     return [
         ("s1 s2 s1 = s2 s1 s2", braid_equal(_b(1, 2, 1), _b(2, 1, 2))),
@@ -449,7 +379,7 @@ def _suite_presentation_b4(kmax: int) -> list[tuple[str, bool]]:
     ]
 
 
-def _suite_mirror_conjugation(kmax: int) -> list[tuple[str, bool]]:
+def _suite_mirror_conjugation() -> list[tuple[str, bool]]:
     w = ExtBraid.mirror()
 
     def lift(bw: BraidWord) -> ExtBraid:
@@ -465,7 +395,7 @@ def _suite_mirror_conjugation(kmax: int) -> list[tuple[str, bool]]:
     ]
 
 
-def _suite_involution_lifts(kmax: int) -> list[tuple[str, bool]]:
+def _suite_involution_lifts() -> list[tuple[str, bool]]:
     gE = from_aut_generator("E")
     gO = from_aut_generator("O")
     gDt = from_aut_generator("Dt")
@@ -494,9 +424,7 @@ def _suite_involution_lifts(kmax: int) -> list[tuple[str, bool]]:
 
 
 def _suite_exchange_powers(kmax: int) -> list[tuple[str, bool]]:
-    G = generator("G")
-    Gt = generator("Gt")
-    E = generator("E")
+    G, Gt, E = map(generator, ("G", "Gt", "E"))
     checks = [("E E = id", E * E == F2Morphism.identity())]
     for k in range(kmax + 1):
         checks.append(
@@ -509,10 +437,7 @@ def _suite_exchange_powers(kmax: int) -> list[tuple[str, bool]]:
 
 
 def _suite_shear_powers(kmax: int) -> list[tuple[str, bool]]:
-    G = generator("G")
-    Gt = generator("Gt")
-    D = generator("D")
-    Dt = generator("Dt")
+    G, Gt, D, Dt = map(generator, ("G", "Gt", "D", "Dt"))
     checks = []
     for k in range(kmax + 1):
         checks.append(
@@ -550,7 +475,7 @@ def _theta(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-l for l in w.expand().letters))
 
 
-def _suite_mirror_as_conjugation(kmax: int) -> list[tuple[str, bool]]:
+def _suite_mirror_as_conjugation() -> list[tuple[str, bool]]:
     c = _b(1, 2, 1)
     checks = []
     for i in (1, 2, 3, 4):
@@ -569,7 +494,7 @@ def _suite_mirror_as_conjugation(kmax: int) -> list[tuple[str, bool]]:
     return checks
 
 
-def _suite_lift_sections(kmax: int) -> list[tuple[str, bool]]:
+def _suite_lift_sections() -> list[tuple[str, bool]]:
     return [
         (
             "f(g(%s)) = %s" % (name, name),
@@ -579,6 +504,7 @@ def _suite_lift_sections(kmax: int) -> list[tuple[str, bool]]:
     ]
 
 
+# suites of fixed relations, then suites of relations for every exponent up to kmax
 _SUITES = {
     "lemma1.1": _suite_aut_triples,
     "lemma1.2": _suite_cyclic_generators,
@@ -586,24 +512,26 @@ _SUITES = {
     "eq1.7": _suite_presentation_b4,
     "eq1.9-1.10": _suite_mirror_conjugation,
     "eq1.11-in-ext": _suite_involution_lifts,
-    "eq2.1": _suite_exchange_powers,
-    "eq2.2": _suite_shear_powers,
-    "eq2.3-2.4": _suite_braid_powers,
     "remark1.4": _suite_mirror_as_conjugation,
     "fg-identity": _suite_lift_sections,
 }
+_POWER_SUITES = {
+    "eq2.1": _suite_exchange_powers,
+    "eq2.2": _suite_shear_powers,
+    "eq2.3-2.4": _suite_braid_powers,
+}
 
-SUITE_NAMES = tuple(sorted(_SUITES))
+SUITE_NAMES = tuple(sorted([*_SUITES, *_POWER_SUITES]))
 
 
 def relation_suite(name: str, kmax: int = 8) -> list[tuple[str, bool]]:
     """Run one named identity suite; each entry is (label, holds)."""
-    try:
-        builder = _SUITES[name]
-    except KeyError:
+    if name not in SUITE_NAMES:
         raise ValueError(
             "unknown suite %r; available: %s" % (name, ", ".join(SUITE_NAMES))
-        ) from None
+        )
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    return builder(kmax)
+    if name in _POWER_SUITES:
+        return _POWER_SUITES[name](kmax)
+    return _SUITES[name]()

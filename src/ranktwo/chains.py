@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .morphisms import SturmianWord, generator
-from .words import FreeWord
+from .words import FreeWord, _shown
 
 _T = generator("T")
 
 WordPair = tuple[FreeWord, FreeWord]
 
-TraceStep = tuple
+TraceStep = tuple[str | int, ...]
 
 
 class NotABasisError(ValueError):
@@ -44,7 +44,13 @@ class NotStandardPairError(ValueError):
     pass
 
 
+def _check_rank_two(u: FreeWord, v: FreeWord) -> None:
+    if u.rank != 2 or v.rank != 2:
+        raise ValueError("expected words of rank 2")
+
+
 def _check_positive_pair(u: FreeWord, v: FreeWord) -> None:
+    _check_rank_two(u, v)
     if not (u and v and u.is_positive and v.is_positive):
         raise ValueError("expected a pair of nonempty positive words")
 
@@ -145,6 +151,7 @@ def is_basis_positive(u: FreeWord, v: FreeWord) -> bool:
 
 def nielsen_dehn_oracle(u: FreeWord, v: FreeWord) -> bool:
     """Independent basis test: the commutator is conjugate to that of the generators."""
+    _check_rank_two(u, v)
     c = u * v * u.inverse() * v.inverse()
     return c.is_conjugate_to(_BASE_COMMUTATOR) or c.is_conjugate_to(
         _BASE_COMMUTATOR_INV
@@ -221,6 +228,7 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     criterion.  Every normalization move lands in the trace, so a
     positive verdict can be replayed back to the input.
     """
+    _check_rank_two(u, v)
     trace: list[TraceStep] = []
     while not (u.is_cyclically_reduced and v.is_cyclically_reduced):
         for d in _CONJUGATION_LETTERS:
@@ -384,7 +392,7 @@ def standard_pair_decompose(u: FreeWord, v: FreeWord) -> SturmianWord:
                     word.append(("E", 1))
                 return tuple(word)
     raise NotStandardPairError(
-        "(%s, %s) does not peel down to the generator pair" % (u, v)
+        "(%s, %s) does not peel down to the generator pair" % (_shown(u), _shown(v))
     )
 
 
@@ -401,7 +409,7 @@ def sturmian_position(
     _check_positive_pair(u, v)
     chain = maximal_chain(u, v)
     if chain.is_infinite or chain.length != len(u) + len(v) - 2:
-        raise NotABasisError("(%s, %s) is not a basis" % (u, v))
+        raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
     offset = chain.pairs.index((u, v))
     u0, v0 = chain.pairs[0]
     s0 = u0.letters

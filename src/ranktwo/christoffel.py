@@ -16,7 +16,7 @@ import math
 
 from .chains import NotABasisError, is_basis
 from .morphisms import generator
-from .words import FreeWord
+from .words import FreeWord, _shown
 
 _T = generator("T")
 
@@ -138,7 +138,7 @@ def christoffel_normal_form(u: FreeWord, v: FreeWord) -> tuple[FreeWord, FreeWor
     makes it a normal form for bases up to simultaneous conjugation.
     """
     if not is_basis(u, v).is_basis:
-        raise NotABasisError("(%s, %s) is not a basis" % (u, v))
+        raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
     return christoffel_basis(u.abelianization(), v.abelianization())
 
 

@@ -1,6 +1,7 @@
-"""Endomorphisms of the rank-two free group and their 2x2 integer shadows.
+"""Endomorphisms of free groups of rank 2 to 4 and the 2x2 integer shadows of rank 2.
 
-A morphism is stored by the images of a and b and composed like any map:
+A morphism is stored by the images of its generators (a and b at rank
+two) and composed like any map:
 ``(phi * psi)(w) == phi(psi(w))``.  Seven classical generators are
 available by name, with the same tokens used in text input and output:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import FreeWord, _inverted
+from .words import _GENERATORS, FreeWord, _check_same_rank, _inverted, _reduced
 
 
 @dataclass(frozen=True)
@@ -79,105 +80,124 @@ SHEAR_L = Mat2(1, 0, 1, 1)
 
 
 class F2Morphism:
-    """An endomorphism of the free group on a and b."""
+    """An endomorphism of a free group of rank 2, 3 or 4, by the images of its generators.
 
-    __slots__ = ("image_a", "image_b")
+    The rank is the number of images, and every image must have it.
+    """
 
-    def __init__(self, image_a: FreeWord, image_b: FreeWord) -> None:
-        self.image_a = image_a
-        self.image_b = image_b
+    __slots__ = ("_images",)
+
+    def __init__(self, *images: FreeWord) -> None:
+        rank = len(images)
+        if rank not in (2, 3, 4) or any(w.rank != rank for w in images):
+            raise ValueError("a morphism of rank 2, 3 or 4 takes that many images of that rank")
+        self._images = images
 
     @classmethod
-    def identity(cls) -> F2Morphism:
-        return cls(FreeWord("a"), FreeWord("b"))
+    def identity(cls, rank: int = 2) -> F2Morphism:
+        return cls(*(FreeWord.generator(rank, i) for i in range(1, rank + 1)))
+
+    @property
+    def images(self) -> tuple[FreeWord, ...]:
+        return self._images
+
+    @property
+    def image_a(self) -> FreeWord:
+        return self._images[0]
+
+    @property
+    def image_b(self) -> FreeWord:
+        return self._images[1]
 
     def __repr__(self) -> str:
-        return "F2Morphism(a -> %s, b -> %s)" % (self.image_a, self.image_b)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, F2Morphism)
-            and self.image_a == other.image_a
-            and self.image_b == other.image_b
+        return "F2Morphism(%s)" % ", ".join(
+            "%s -> %s" % pair for pair in zip(_GENERATORS, self._images)
         )
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, F2Morphism) and self._images == other._images
+
     def __hash__(self) -> int:
-        return hash((self.image_a, self.image_b))
+        return hash(self._images)
+
+    def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
+        # one letter -> image table for all the words, inverting only images they use
+        rank = len(self._images)
+        occurring = "".join([w._s for w in words])
+        table = {}
+        for gen, img in zip(_GENERATORS, self._images):
+            table[gen] = img._s
+            if gen.upper() in occurring:
+                table[gen.upper()] = _inverted(img._s)
+        out = []
+        for w in words:
+            _check_same_rank(w._rank, rank)
+            out.append(FreeWord._make(_reduced("".join(map(table.__getitem__, w._s))), rank))
+        return tuple(out)
 
     def __call__(self, w: FreeWord) -> FreeWord:
-        ia = self.image_a.letters
-        ib = self.image_b.letters
-        table = {"a": ia, "A": _inverted(ia), "b": ib, "B": _inverted(ib)}
-        return FreeWord("".join(table[ch] for ch in w.letters))
+        return self._apply((w,))[0]
 
     def __mul__(self, other: F2Morphism) -> F2Morphism:
         if not isinstance(other, F2Morphism):
             return NotImplemented
-        return F2Morphism(self(other.image_a), self(other.image_b))
+        return F2Morphism(*self._apply(other._images))
 
     def __pow__(self, n: int) -> F2Morphism:
         if n < 0:
             raise ValueError("no general inverse; compose generator inverses instead")
-        out = F2Morphism.identity()
+        out = F2Morphism.identity(len(self._images))
         for _ in range(n):
             out = out * self
         return out
 
     def matrix(self) -> Mat2:
-        """The induced matrix on Z^2; columns are the abelianized images of a and b."""
+        """The induced matrix on Z^2 (rank 2 only); columns are the abelianized images of a and b."""
         p, q = self.image_a.abelianization()
         r, s = self.image_b.abelianization()
         return Mat2(p, r, q, s)
 
     @property
     def is_positive(self) -> bool:
-        return self.image_a.is_positive and self.image_b.is_positive
+        return all(w.is_positive for w in self._images)
 
 
 GENERATOR_NAMES = ("D", "Dt", "G", "Gt", "E", "O", "T")
 
-_IMAGES = {
-    "D": ("ba", "b"),
-    "Dt": ("ab", "b"),
-    "G": ("a", "ab"),
-    "Gt": ("a", "ba"),
-    "E": ("b", "a"),
-    "O": ("A", "b"),
-    "T": ("a", "B"),
+
+def _named(image_a: str, image_b: str) -> F2Morphism:
+    return F2Morphism(FreeWord(image_a), FreeWord(image_b))
+
+
+# each generator and its inverse in closed form; E, O and T are involutions
+_GENERATORS_AND_INVERSES = {
+    "D": (_named("ba", "b"), _named("Ba", "b")),
+    "Dt": (_named("ab", "b"), _named("aB", "b")),
+    "G": (_named("a", "ab"), _named("a", "Ab")),
+    "Gt": (_named("a", "ba"), _named("a", "bA")),
+    "E": (_named("b", "a"),) * 2,
+    "O": (_named("A", "b"),) * 2,
+    "T": (_named("a", "B"),) * 2,
 }
 
-# closed forms for the inverses; E, O and T are involutions
-_INVERSE_IMAGES = {
-    "D": ("Ba", "b"),
-    "Dt": ("aB", "b"),
-    "G": ("a", "Ab"),
-    "Gt": ("a", "bA"),
-    "E": ("b", "a"),
-    "O": ("A", "b"),
-    "T": ("a", "B"),
-}
+
+def _lookup(name: str, inverse: bool) -> F2Morphism:
+    try:
+        return _GENERATORS_AND_INVERSES[name][inverse]
+    except KeyError:
+        raise ValueError(
+            "unknown generator %r; expected one of %s" % (name, ", ".join(GENERATOR_NAMES))
+        ) from None
 
 
 def generator(name: str) -> F2Morphism:
     """One of the seven named automorphisms, by token."""
-    try:
-        ia, ib = _IMAGES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown generator %r; expected one of %s" % (name, ", ".join(GENERATOR_NAMES))
-        ) from None
-    return F2Morphism(FreeWord(ia), FreeWord(ib))
+    return _lookup(name, False)
 
 
 def generator_inverse(name: str) -> F2Morphism:
     """The inverse of :func:`generator` by its closed form."""
-    try:
-        ia, ib = _INVERSE_IMAGES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown generator %r; expected one of %s" % (name, ", ".join(GENERATOR_NAMES))
-        ) from None
-    return F2Morphism(FreeWord(ia), FreeWord(ib))
+    return _lookup(name, True)
 
 
 def inner(w: FreeWord) -> F2Morphism:

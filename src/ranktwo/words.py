@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-_F2_LETTERS = frozenset("abAB")
-_RANK_LETTERS = "abcd"
+_GENERATORS = "abcd"
+_ALPHABETS = {2: "abAB", 3: "abcABC", 4: "abcdABCD"}
+_LETTER_SETS = {rank: frozenset(letters) for rank, letters in _ALPHABETS.items()}
 
 
 def _reduced(s: str) -> str:
@@ -41,8 +42,17 @@ def _inverted(s: str) -> str:
     return s[::-1].swapcase()
 
 
+def _check_same_rank(r1: int, r2: int) -> None:
+    if r1 != r2:
+        raise ValueError("rank mismatch: %d vs %d" % (r1, r2))
+
+
 class FreeWord:
-    """A reduced word over {a, b, A, B} in the free group on a and b.
+    """A reduced word in the free group of rank 2, 3 or 4.
+
+    The generators are ``a`` through ``d`` with capitals for inverses;
+    the default rank 2 has only ``a`` and ``b``.  Words of different
+    ranks are never equal, and multiplying them is an error.
 
     >>> FreeWord("abBA")
     FreeWord('')
@@ -52,23 +62,35 @@ class FreeWord:
     (5, 2)
     """
 
-    __slots__ = ("_s",)
+    __slots__ = ("_s", "_rank")
 
-    def __init__(self, letters: str = "") -> None:
-        bad = set(letters) - _F2_LETTERS
+    def __init__(self, letters: str = "", rank: int = 2) -> None:
+        allowed = _LETTER_SETS.get(rank)
+        if allowed is None:
+            raise ValueError("rank must be 2, 3 or 4")
+        bad = set(letters) - allowed
         if bad:
             raise ValueError(
-                "invalid letter(s) %s: words are written over a, b, A, B"
-                % ", ".join(sorted(bad))
+                "invalid letter(s) %s: words are written over %s"
+                % (", ".join(sorted(bad)), ", ".join(_ALPHABETS[rank]))
             )
         self._s = _reduced(letters)
+        self._rank = rank
 
     @classmethod
-    def _make(cls, reduced: str) -> FreeWord:
-        # trusted constructor, `reduced` must already be reduced
+    def _make(cls, reduced: str, rank: int = 2) -> FreeWord:
+        # trusted constructor, `reduced` must already be reduced over the rank's letters
         w = object.__new__(cls)
         w._s = reduced
+        w._rank = rank
         return w
+
+    @classmethod
+    def generator(cls, rank: int, index: int) -> FreeWord:
+        """The index-th generator (1-based) of the given rank as a one-letter word."""
+        if not 1 <= index <= rank:
+            raise ValueError("generator index out of range")
+        return cls(_GENERATORS[index - 1], rank)
 
     @classmethod
     def parse(cls, text: str) -> FreeWord:
@@ -78,6 +100,10 @@ class FreeWord:
         return cls(text)
 
     @property
+    def rank(self) -> int:
+        return self._rank
+
+    @property
     def letters(self) -> str:
         return self._s
 
@@ -85,10 +111,16 @@ class FreeWord:
         return self._s or "1"
 
     def __repr__(self) -> str:
-        return "FreeWord(%r)" % self._s
+        if self._rank == 2:
+            return "FreeWord(%r)" % self._s
+        return "FreeWord(%r, rank=%d)" % (self._s, self._rank)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FreeWord) and self._s == other._s
+        return (
+            isinstance(other, FreeWord)
+            and self._s == other._s
+            and self._rank == other._rank
+        )
 
     def __hash__(self) -> int:
         return hash(self._s)
@@ -105,19 +137,20 @@ class FreeWord:
     def __mul__(self, other: FreeWord) -> FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord._make(_joined(self._s, other._s))
+        _check_same_rank(self._rank, other._rank)
+        return FreeWord._make(_joined(self._s, other._s), self._rank)
 
     def __pow__(self, n: int) -> FreeWord:
         if n < 0:
             return self.inverse() ** (-n)
-        return FreeWord._make(_reduced(self._s * n))
+        return FreeWord._make(_reduced(self._s * n), self._rank)
 
     def inverse(self) -> FreeWord:
-        return FreeWord._make(_inverted(self._s))
+        return FreeWord._make(_inverted(self._s), self._rank)
 
     def reverse(self) -> FreeWord:
         """The same letters written backwards, signs kept."""
-        return FreeWord._make(self._s[::-1])
+        return FreeWord._make(self._s[::-1], self._rank)
 
     @property
     def is_palindrome(self) -> bool:
@@ -125,7 +158,7 @@ class FreeWord:
 
     @property
     def is_positive(self) -> bool:
-        """True when no letter is inverted, i.e. the word lies in the monoid on a, b."""
+        """True when no letter is inverted, i.e. the word lies in the monoid on the generators."""
         s = self._s
         return s.islower() or not s
 
@@ -143,7 +176,7 @@ class FreeWord:
         while j - i >= 2 and s[i] == s[j - 1].swapcase():
             i += 1
             j -= 1
-        return FreeWord._make(s[i:j]), FreeWord._make(s[:i])
+        return FreeWord._make(s[i:j], self._rank), FreeWord._make(s[:i], self._rank)
 
     @property
     def is_cyclically_reduced(self) -> bool:
@@ -152,22 +185,27 @@ class FreeWord:
 
     def conjugated_by(self, x: FreeWord) -> FreeWord:
         """x * self * x^-1, reduced."""
-        return FreeWord._make(_joined(_joined(x._s, self._s), _inverted(x._s)))
+        _check_same_rank(self._rank, x._rank)
+        return FreeWord._make(
+            _joined(_joined(x._s, self._s), _inverted(x._s)), self._rank
+        )
 
     def is_conjugate_to(self, other: FreeWord) -> bool:
         """Conjugacy test: cyclically reduce both sides, then compare cyclic rotations."""
+        _check_same_rank(self._rank, other._rank)
         c1, _ = self.cyclic_reduce()
         c2, _ = other.cyclic_reduce()
-        if len(c1._s) != len(c2._s):
-            return False
-        return not c1._s or c2._s in c1._s + c1._s
+        return len(c1._s) == len(c2._s) and c2._s in c1._s + c1._s
 
     def abelianization(self) -> tuple[int, int]:
-        """Exponent sums of a and b."""
+        """Exponent sums of a and b; defined for rank-2 words only."""
+        if self._rank != 2:
+            raise ValueError("abelianization is defined for words of rank 2 only")
         s = self._s
         return s.count("a") - s.count("A"), s.count("b") - s.count("B")
 
     def commutes_with(self, other: FreeWord) -> bool:
+        _check_same_rank(self._rank, other._rank)
         return _joined(self._s, other._s) == _joined(other._s, self._s)
 
 
@@ -176,79 +214,8 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return u * v * u.inverse() * v.inverse()
 
 
-class RankedWord:
-    """A reduced word in a free group of rank 2, 3 or 4.
-
-    Generators are written ``a`` through ``d`` with capitals for
-    inverses, so the rank-2 case matches :class:`FreeWord` letter for
-    letter.  Operations on words of different ranks are rejected.
-    """
-
-    __slots__ = ("_rank", "_s")
-
-    def __init__(self, rank: int, letters: str = "") -> None:
-        if rank not in (2, 3, 4):
-            raise ValueError("rank must be 2, 3 or 4")
-        allowed = _RANK_LETTERS[:rank]
-        bad = set(letters) - set(allowed + allowed.upper())
-        if bad:
-            raise ValueError(
-                "invalid letter(s) %s for rank %d"
-                % (", ".join(sorted(bad)), rank)
-            )
-        self._rank = rank
-        self._s = _reduced(letters)
-
-    @classmethod
-    def _make(cls, rank: int, reduced: str) -> RankedWord:
-        w = object.__new__(cls)
-        w._rank = rank
-        w._s = reduced
-        return w
-
-    @classmethod
-    def generator(cls, rank: int, index: int) -> RankedWord:
-        """The index-th generator (1-based) as a one-letter word."""
-        if not 1 <= index <= rank:
-            raise ValueError("generator index out of range")
-        return cls(rank, _RANK_LETTERS[index - 1])
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def letters(self) -> str:
-        return self._s
-
-    def __str__(self) -> str:
-        return self._s or "1"
-
-    def __repr__(self) -> str:
-        return "RankedWord(%d, %r)" % (self._rank, self._s)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RankedWord)
-            and self._rank == other._rank
-            and self._s == other._s
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._rank, self._s))
-
-    def __len__(self) -> int:
-        return len(self._s)
-
-    def __bool__(self) -> bool:
-        return bool(self._s)
-
-    def __mul__(self, other: RankedWord) -> RankedWord:
-        if not isinstance(other, RankedWord):
-            return NotImplemented
-        if self._rank != other._rank:
-            raise ValueError("rank mismatch: %d vs %d" % (self._rank, other._rank))
-        return RankedWord._make(self._rank, _joined(self._s, other._s))
-
-    def inverse(self) -> RankedWord:
-        return RankedWord._make(self._rank, _inverted(self._s))
+def _shown(w: FreeWord) -> str:
+    """A word for an error message: its first 64 letters and its length when longer."""
+    if len(w) <= 64:
+        return str(w)
+    return "%s... (%d letters)" % (w.letters[:64], len(w))

@@ -32,7 +32,7 @@ from ranktwo.morphisms import (
     generator_inverse,
     parse_sturmian,
 )
-from ranktwo.words import FreeWord, RankedWord
+from ranktwo.words import FreeWord
 
 # Defining relators of the 4-strand group, used to scramble words without
 # changing the element they represent.
@@ -120,7 +120,7 @@ def test_exponent_sum():
 
 def test_artin_action_on_generators():
     phi = artin_action(BraidWord(4, (1,)))
-    a, b, c, d = (RankedWord.generator(4, i) for i in (1, 2, 3, 4))
+    a, b, c, d = (FreeWord.generator(4, i) for i in (1, 2, 3, 4))
     assert phi(a) == a * b * a.inverse()
     assert phi(b) == a
     assert phi(c) == c
@@ -142,8 +142,8 @@ def test_artin_action_is_homomorphism():
 def test_full_twist_is_central():
     twist = delta(4) ** 4
     phi = artin_action(twist)
-    gens = [RankedWord.generator(4, i) for i in (1, 2, 3, 4)]
-    core = RankedWord(4, "abcd")
+    gens = [FreeWord.generator(4, i) for i in (1, 2, 3, 4)]
+    core = FreeWord("abcd", rank=4)
     assert phi(core) == core
     for g in (BraidWord(4, (i,)) for i in (1, 2, 3, 4)):
         assert braid_equal(twist * g, g * twist)

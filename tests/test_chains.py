@@ -352,6 +352,16 @@ def test_decompose_rejects():
         standard_pair_decompose(_w("Ba"), _w("b"))
 
 
+def test_error_messages_are_bounded():
+    u, v = _w("a" * 20000 + "b"), _w("a" * 20001 + "b")
+    with pytest.raises(NotStandardPairError) as info:
+        standard_pair_decompose(u, v)
+    assert len(str(info.value)) < 300
+    assert "(20001 letters)" in str(info.value)
+    with pytest.raises(NotStandardPairError, match=r"^\(aab, aba\) does not peel"):
+        standard_pair_decompose(*_pair("aab", "aba"))
+
+
 def test_sturmian_position():
     tokens, offset, conj = sturmian_position(*_pair("abaab", "aba"))
     assert tokens == (("G", 1), ("D", 1), ("G", 1), ("E", 1))
@@ -389,3 +399,15 @@ def test_sturmian_position_prefix_invariant():
                     assert u0.conjugated_by(conj.inverse()) == u, (su, sv)
                     assert v0.conjugated_by(conj.inverse()) == v, (su, sv)
                     assert conj.letters == (u0.letters * (offset // len(u0) + 1))[:offset]
+
+
+def test_only_rank_two_pairs():
+    # neither pair is a basis of F3, so a rank-2 verdict would be wrong
+    ac, a, b = FreeWord("ac", rank=3), FreeWord("a", rank=3), FreeWord("b", rank=3)
+    with pytest.raises(ValueError, match="rank 2"):
+        is_basis(ac, a)
+    with pytest.raises(ValueError, match="rank 2"):
+        nielsen_dehn_oracle(a, b)
+    for check in (maximal_chain, is_basis_positive, step_forward, standard_pair_decompose):
+        with pytest.raises(ValueError, match="rank 2"):
+            check(ac, a)

@@ -78,6 +78,44 @@ def test_apply():
     assert str(generator("T")(FreeWord("aaabaab"))) == "aaaBaaB"
 
 
+def _substituted_and_reduced(phi: F2Morphism, s: str) -> str:
+    """String-level reference: substitute every letter, then cancel pairs until none is left."""
+    images = {"a": phi.image_a.letters, "b": phi.image_b.letters}
+    out = "".join(images[ch] if ch in images else images[ch.lower()][::-1].swapcase() for ch in s)
+    while True:
+        shorter = out
+        for pair in ("aA", "Aa", "bB", "Bb"):
+            shorter = shorter.replace(pair, "")
+        if shorter == out:
+            return out
+        out = shorter
+
+
+def test_apply_matches_substitute_then_reduce():
+    words = words_up_to(6)
+    for name in GENERATOR_NAMES:
+        for phi in (generator(name), generator_inverse(name)):
+            for w in words:
+                assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (name, w)
+
+
+def test_ranks_do_not_mix():
+    with pytest.raises(ValueError):
+        F2Morphism(FreeWord("a"), FreeWord("b", rank=3))
+    with pytest.raises(ValueError):
+        F2Morphism(FreeWord("a"))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        generator("G")(FreeWord("ab", rank=3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        generator("G") * F2Morphism.identity(3)
+    with pytest.raises(ValueError):
+        F2Morphism.identity(3).matrix()
+    phi = F2Morphism(FreeWord("b", rank=3), FreeWord("c", rank=3), FreeWord("a", rank=3))
+    assert repr(phi) == "F2Morphism(a -> b, b -> c, c -> a)"
+    assert phi ** 3 == F2Morphism.identity(3)
+    assert phi(FreeWord("abC", rank=3)) == FreeWord("bcA", rank=3)
+
+
 def test_apply_respects_composition():
     rng = random.Random(5150)
     words = words_up_to(5)

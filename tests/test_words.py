@@ -9,7 +9,7 @@ import random
 import pytest
 
 import ranktwo.words
-from ranktwo.words import FreeWord, RankedWord, commutator
+from ranktwo.words import FreeWord, commutator
 
 
 def words_up_to(max_len: int) -> list[FreeWord]:
@@ -245,26 +245,45 @@ def test_commutator():
 
 
 def test_ranked_examples():
-    x1 = RankedWord.generator(4, 1)
-    assert x1 * x1.inverse() == RankedWord(4)
-    assert RankedWord(3, "ab") * RankedWord(3, "B") == RankedWord(3, "a")
-    assert RankedWord(4, "abA") * RankedWord(4, "a") == RankedWord(4, "ab")
+    x1 = FreeWord.generator(4, 1)
+    assert x1 * x1.inverse() == FreeWord(rank=4)
+    assert FreeWord("ab", rank=3) * FreeWord("B", rank=3) == FreeWord("a", rank=3)
+    assert FreeWord("abA", rank=4) * FreeWord("a", rank=4) == FreeWord("ab", rank=4)
 
 
 def test_ranked_validation():
     with pytest.raises(ValueError):
-        RankedWord(5, "a")
+        FreeWord("a", rank=5)
     with pytest.raises(ValueError):
-        RankedWord(3, "d")
+        FreeWord("d", rank=3)
     with pytest.raises(ValueError):
-        RankedWord(2, "c")
+        FreeWord("c", rank=2)
     with pytest.raises(ValueError):
-        RankedWord.generator(3, 4)
+        FreeWord.generator(3, 4)
     with pytest.raises(ValueError):
-        RankedWord(3, "a") * RankedWord(4, "a")
+        FreeWord("a", rank=3) * FreeWord("a", rank=4)
 
 
 def test_ranked_rank_two_matches_free_word():
+    # rank 2 is the default, and the same letters at rank 3 make another word
     for letters in itertools.product("abAB", repeat=3):
         s = "".join(letters)
-        assert RankedWord(2, s).letters == FreeWord(s).letters
+        assert FreeWord(s).rank == 2
+        assert FreeWord(s, rank=2) == FreeWord(s) != FreeWord(s, rank=3)
+
+
+def test_ranks_do_not_mix():
+    assert FreeWord("ab", rank=3) != FreeWord("ab")
+    assert FreeWord("ab", rank=3) != FreeWord("ab", rank=4)
+    assert repr(FreeWord("abc", rank=3)) == "FreeWord('abc', rank=3)"
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FreeWord("a", rank=3).conjugated_by(FreeWord("b"))
+    assert (FreeWord("ab", rank=3) ** 2).rank == 3
+    assert all(w.rank == 4 for w in FreeWord("abC", rank=4).cyclic_reduce())
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FreeWord("a", rank=3).is_conjugate_to(FreeWord("a"))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FreeWord("a", rank=3).commutes_with(FreeWord("a"))
+    assert FreeWord("bab", rank=3).is_conjugate_to(FreeWord("abb", rank=3))
+    with pytest.raises(ValueError, match="rank 2"):
+        FreeWord("c", rank=3).abelianization()
