@@ -8,10 +8,12 @@ enumerates the cyclically reduced conjugate bases, and locates the
 palindromic conjugate when both component lengths are odd.
 
 Facts used throughout: a positive pair is a basis exactly when its
-maximal chain is finite of length |u| + |v| - 2; a chain longer than
-that never terminates and forces u and v to be powers of a common word;
-cyclically reduced conjugates of a positive pair are precisely the
-members of its chain.
+maximal chain is finite of length |u| + |v| - 2; cyclically reduced
+conjugates of a positive pair are precisely the members of its chain.
+No chain is walked step by step.  It is read off two numbers: how far
+u^inf and v^inf agree forward and how far their left-infinite powers
+agree backward.  By the Fine-Wilf theorem both are below |u| + |v| - 1
+unless u and v commute, which is exactly when the chain is infinite.
 """
 
 from __future__ import annotations
@@ -60,22 +62,24 @@ def _check_cyclically_reduced(u: FreeWord, v: FreeWord) -> None:
         raise NotCyclicallyReducedError("expected cyclically reduced words")
 
 
+def _rotation(su: str, sv: str, k: int) -> WordPair:
+    """Both words rotated k places to the left, or -k to the right."""
+    i, j = k % len(su), k % len(sv)
+    return FreeWord._make(su[i:] + su[:i]), FreeWord._make(sv[j:] + sv[:j])
+
+
 def step_forward(u: FreeWord, v: FreeWord) -> WordPair | None:
     """Rotate both words left when they share a first letter, else None."""
     _check_positive_pair(u, v)
     su, sv = u.letters, v.letters
-    if su[0] != sv[0]:
-        return None
-    return FreeWord._make(su[1:] + su[0]), FreeWord._make(sv[1:] + sv[0])
+    return _rotation(su, sv, 1) if su[0] == sv[0] else None
 
 
 def step_backward(u: FreeWord, v: FreeWord) -> WordPair | None:
     """Rotate both words right when they share a last letter, else None."""
     _check_positive_pair(u, v)
     su, sv = u.letters, v.letters
-    if su[-1] != sv[-1]:
-        return None
-    return FreeWord._make(su[-1] + su[:-1]), FreeWord._make(sv[-1] + sv[:-1])
+    return _rotation(su, sv, -1) if su[-1] == sv[-1] else None
 
 
 @dataclass(frozen=True)
@@ -96,57 +100,49 @@ class MaximalChain:
         return len(self.pairs) - 1
 
 
-def _walk_chain(su: str, sv: str) -> tuple[list[tuple[str, str]], int] | None:
-    """All chain members through (su, sv), or None when the chain is infinite.
+def _chain_span(su: str, sv: str) -> tuple[int, int] | None:
+    """Steps (back, forward) from (su, sv) to the two ends of its chain.
 
-    Returns the member list from the left end and the index of the
-    starting pair in it.  Commuting words short-circuit to infinite; the
-    walk is also capped, since no finite chain outruns |u| + |v| - 2.
+    The members are the simultaneous rotations by -back..forward, so
+    the chain has back + forward arrows; None when the words commute
+    and the chain is infinite.  Otherwise, by Fine and Wilf, neither
+    run of agreeing letters reaches len(su) + len(sv) - 1.
     """
     if su + sv == sv + su:
         return None
-    limit = len(su) + len(sv) - 2
+    m, n = len(su), len(sv)
     back = 0
-    cu, cv = su, sv
-    while cu[-1] == cv[-1]:
-        cu = cu[-1] + cu[:-1]
-        cv = cv[-1] + cv[:-1]
+    while su[~back % m] == sv[~back % n]:
         back += 1
-        if back > limit:
-            return None
-    members = [(cu, cv)]
-    while cu[0] == cv[0]:
-        cu = cu[1:] + cu[0]
-        cv = cv[1:] + cv[0]
-        members.append((cu, cv))
-        if len(members) - 1 > limit:
-            return None
-    return members, back
+    forward = 0
+    while su[forward % m] == sv[forward % n]:
+        forward += 1
+    return back, forward
 
 
 def maximal_chain(u: FreeWord, v: FreeWord) -> MaximalChain:
     """The full chain through a positive pair, or the infinite marker."""
     _check_positive_pair(u, v)
-    walked = _walk_chain(u.letters, v.letters)
-    if walked is None:
+    su, sv = u.letters, v.letters
+    span = _chain_span(su, sv)
+    if span is None:
         return MaximalChain(None)
-    members, _ = walked
-    return MaximalChain(
-        tuple((FreeWord._make(a), FreeWord._make(b)) for a, b in members)
-    )
+    back, forward = span
+    return MaximalChain(tuple(_rotation(su, sv, k) for k in range(-back, forward + 1)))
 
 
-def _chain_length(su: str, sv: str) -> int | None:
-    walked = _walk_chain(su, sv)
-    if walked is None:
+def _basis_offset(su: str, sv: str) -> int | None:
+    """Steps back to the left end of a basis's chain; None for a non-basis."""
+    span = _chain_span(su, sv)
+    if span is None or sum(span) != len(su) + len(sv) - 2:
         return None
-    return len(walked[0]) - 1
+    return span[0]
 
 
 def is_basis_positive(u: FreeWord, v: FreeWord) -> bool:
     """The chain criterion for a positive pair."""
     _check_positive_pair(u, v)
-    return _chain_length(u.letters, v.letters) == len(u) + len(v) - 2
+    return _basis_offset(u.letters, v.letters) is not None
 
 
 def nielsen_dehn_oracle(u: FreeWord, v: FreeWord) -> bool:
@@ -253,17 +249,18 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
             False, "pair is not positive after normalization", tuple(trace)
         )
     trace.append(("positive-pair", u.letters, v.letters))
-    n = _chain_length(u.letters, v.letters)
-    trace.append(("chain-length", "infinite" if n is None else n))
+    span = _chain_span(u.letters, v.letters)
+    n = "infinite" if span is None else sum(span)
+    trace.append(("chain-length", n))
     if n == len(u) + len(v) - 2:
         return BasisVerdict(True, "", tuple(trace))
     return BasisVerdict(False, "chain length differs from |u| + |v| - 2", tuple(trace))
 
 
-def _normalized_chain(
+def _normalized_left_end(
     u: FreeWord, v: FreeWord
-) -> tuple[tuple[WordPair, ...], bool, str]:
-    """Normalize a cyclically reduced basis and materialize its chain."""
+) -> tuple[str, str, bool, str]:
+    """Normalize a cyclically reduced basis and find the left end of its chain."""
     _check_cyclically_reduced(u, v)
     normalized = _normalize_cyclically_reduced(u, v)
     if isinstance(normalized, str):
@@ -271,10 +268,12 @@ def _normalized_chain(
     pu, pv, inverted, map_name = normalized
     if not (pu.is_positive and pv.is_positive):
         raise NotABasisError("pair is not positive after normalization")
-    chain = maximal_chain(pu, pv)
-    if chain.is_infinite or chain.length != len(pu) + len(pv) - 2:
+    su, sv = pu.letters, pv.letters
+    back = _basis_offset(su, sv)
+    if back is None:
         raise NotABasisError("chain length differs from |u| + |v| - 2")
-    return chain.pairs, inverted, map_name
+    left_u, left_v = _rotation(su, sv, -back)
+    return left_u.letters, left_v.letters, inverted, map_name
 
 
 def _map_back(pair: WordPair, inverted: bool, map_name: str) -> WordPair:
@@ -288,8 +287,11 @@ def _map_back(pair: WordPair, inverted: bool, map_name: str) -> WordPair:
 
 def conjugate_bases(u: FreeWord, v: FreeWord) -> tuple[WordPair, ...]:
     """All cyclically reduced bases conjugate to (u, v); there are |u| + |v| - 1."""
-    pairs, inverted, map_name = _normalized_chain(u, v)
-    return tuple(_map_back(p, inverted, map_name) for p in pairs)
+    su, sv, inverted, map_name = _normalized_left_end(u, v)
+    return tuple(
+        _map_back(_rotation(su, sv, k), inverted, map_name)
+        for k in range(len(su) + len(sv) - 1)
+    )
 
 
 def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
@@ -302,9 +304,9 @@ def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
     """
     if len(u) % 2 == 0 or len(v) % 2 == 0:
         raise EvenLengthError("palindromic conjugates need odd length components")
-    pairs, inverted, map_name = _normalized_chain(u, v)
+    su, sv, inverted, map_name = _normalized_left_end(u, v)
     middle = (len(u) + len(v)) // 2 - 1
-    return _map_back(pairs[middle], inverted, map_name)
+    return _map_back(_rotation(su, sv, middle), inverted, map_name)
 
 
 def in_same_chain(
@@ -313,60 +315,48 @@ def in_same_chain(
     """Whether the cyclically reduced pair (u, v) occurs in the chain of (u_pos, v_pos).
 
     For a finite chain this is exactly simultaneous conjugacy of the
-    pairs.  Infinite chains cycle, so the capped walk still sees every
-    member.
+    pairs, tested at every rotation offset the chain spans.  An
+    infinite chain pairs powers of one root, so it cycles through all
+    of its members within the first |u_pos| rotations.
     """
     _check_cyclically_reduced(u, v)
     _check_positive_pair(u_pos, v_pos)
-    target = (u.letters, v.letters)
+    tu, tv = u.letters, v.letters
     su, sv = u_pos.letters, v_pos.letters
-    walked = _walk_chain(su, sv)
-    if walked is not None:
-        return target in walked[0]
-    if len(u.letters) != len(su) or len(v.letters) != len(sv):
+    if len(tu) != len(su) or len(tv) != len(sv):
         return False
-    cu, cv = su, sv
-    for _ in range(len(su) + len(sv) + 1):
-        if (cu, cv) == target:
-            return True
-        if cu[0] != cv[0]:
-            return False
-        cu = cu[1:] + cu[0]
-        cv = cv[1:] + cv[0]
-    return False
+    span = _chain_span(su, sv)
+    offsets = range(len(su)) if span is None else range(-span[0], span[1] + 1)
+    # (su + su)[i:i + len(su)] is su rotated i places to the left
+    uu, vv = su + su, sv + sv
+    return any(
+        uu.startswith(tu, k % len(su)) and vv.startswith(tv, k % len(sv))
+        for k in offsets
+    )
 
 
-def _strip_tree(su: str, sv: str, suffix: bool) -> list[str] | None:
-    """Peel one component off the other until (a, b); None when stuck.
+def _strip_tree(su: str, sv: str, grow_v: str, grow_u: str) -> list[str] | None:
+    """Peel one component off the front of the other until (a, b); None when stuck.
 
-    Prefix peeling inverts the tree built from G and D, suffix peeling
-    the one built from Gt and Dt.  Tokens come out in composition order,
-    outermost first.
+    Each pass peels every whole copy of the shorter word that leaves the
+    longer one nonempty, one partial quotient of the slope's continued
+    fraction, and records grow_v (v peeled) or grow_u (u peeled) once per
+    copy.  Tokens come out in composition order, outermost first.
     """
     out: list[str] = []
     while (su, sv) != ("a", "b"):
         if len(sv) > len(su):
-            if suffix:
-                if not sv.endswith(su):
-                    return None
-                sv = sv[: -len(su)]
-                out.append("Gt")
-            else:
-                if not sv.startswith(su):
-                    return None
-                sv = sv[len(su):]
-                out.append("G")
+            q = (len(sv) - 1) // len(su)
+            if not sv.startswith(su * q):
+                return None
+            sv = sv[q * len(su):]
+            out += [grow_v] * q
         elif len(su) > len(sv):
-            if suffix:
-                if not su.endswith(sv):
-                    return None
-                su = su[: -len(sv)]
-                out.append("Dt")
-            else:
-                if not su.startswith(sv):
-                    return None
-                su = su[len(sv):]
-                out.append("D")
+            q = (len(su) - 1) // len(sv)
+            if not su.startswith(sv * q):
+                return None
+            su = su[q * len(sv):]
+            out += [grow_u] * q
         else:
             return None
     out.reverse()
@@ -379,13 +369,16 @@ def standard_pair_decompose(u: FreeWord, v: FreeWord) -> SturmianWord:
     The result s satisfies eval_sturmian(s) == (a -> u, b -> v).  Both
     component orders and both peeling orientations are attempted; when
     only the swapped order works, a single trailing E records the swap.
+    Prefix peeling inverts the tree built from G and D; suffix peeling,
+    which is prefix peeling of the reversed words, the one built from Gt
+    and Dt.
     """
     _check_positive_pair(u, v)
     su, sv = u.letters, v.letters
     for swapped in (False, True):
         first, second = (sv, su) if swapped else (su, sv)
-        for suffix in (False, True):
-            tokens = _strip_tree(first, second, suffix)
+        for step, grow_v, grow_u in ((1, "G", "D"), (-1, "Gt", "Dt")):
+            tokens = _strip_tree(first[::step], second[::step], grow_v, grow_u)
             if tokens is not None:
                 word = [(t, 1) for t in tokens]
                 if swapped:
@@ -407,11 +400,11 @@ def sturmian_position(
     power of u0, so that u == w^-1 u0 w and v == w^-1 v0 w.
     """
     _check_positive_pair(u, v)
-    chain = maximal_chain(u, v)
-    if chain.is_infinite or chain.length != len(u) + len(v) - 2:
+    su, sv = u.letters, v.letters
+    offset = _basis_offset(su, sv)
+    if offset is None:
         raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
-    offset = chain.pairs.index((u, v))
-    u0, v0 = chain.pairs[0]
+    u0, v0 = _rotation(su, sv, -offset)
     s0 = u0.letters
     conjugator = FreeWord._make((s0 * (offset // len(s0) + 1))[:offset])
     return standard_pair_decompose(u0, v0), offset, conjugator

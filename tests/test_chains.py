@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from ranktwo.chains import (
+    BasisVerdict,
     EvenLengthError,
     NotABasisError,
     NotCyclicallyReducedError,
@@ -24,8 +26,8 @@ from ranktwo.chains import (
     step_forward,
     sturmian_position,
 )
-from ranktwo.christoffel import christoffel_normal_form
-from ranktwo.morphisms import eval_sturmian
+from ranktwo.christoffel import christoffel_basis, christoffel_normal_form
+from ranktwo.morphisms import eval_sturmian, format_sturmian
 from ranktwo.words import FreeWord
 
 
@@ -39,6 +41,41 @@ def _pair(su: str, sv: str) -> tuple[FreeWord, FreeWord]:
 
 def _positive_words(length: int) -> list[str]:
     return ["".join(p) for p in product("ab", repeat=length)]
+
+
+def _reference_walk(su: str, sv: str) -> tuple[list[tuple[str, str]], int] | None:
+    """All chain members through (su, sv), or None when the chain is infinite.
+
+    The chain walked one rotation at a time, kept as an oracle for the
+    chain functions.  Returns the member list from the left end and the
+    index of the starting pair in it.  Commuting words short-circuit to
+    infinite; the walk is also capped, since no finite chain outruns
+    |u| + |v| - 2.
+    """
+    if su + sv == sv + su:
+        return None
+    limit = len(su) + len(sv) - 2
+    back = 0
+    cu, cv = su, sv
+    while cu[-1] == cv[-1]:
+        cu = cu[-1] + cu[:-1]
+        cv = cv[-1] + cv[:-1]
+        back += 1
+        if back > limit:
+            return None
+    members = [(cu, cv)]
+    while cu[0] == cv[0]:
+        cu = cu[1:] + cu[0]
+        cv = cv[1:] + cv[0]
+        members.append((cu, cv))
+        if len(members) - 1 > limit:
+            return None
+    return members, back
+
+
+def _rotated(s: str, k: int) -> str:
+    k %= len(s)
+    return s[k:] + s[:k]
 
 
 def test_steps():
@@ -127,6 +164,41 @@ def test_nielsen_dehn_oracle():
     assert not nielsen_dehn_oracle(_w("ab"), _w("ba"))
     assert not nielsen_dehn_oracle(_w("a"), _w("a"))
     assert not nielsen_dehn_oracle(_w("aab"), _w("aba"))
+
+
+def test_chain_functions_match_reference_walk_exhaustively():
+    for total in range(2, 12):
+        for i in range(1, total):
+            for su in _positive_words(i):
+                for sv in _positive_words(total - i):
+                    u, v = _w(su), _w(sv)
+                    walked = _reference_walk(su, sv)
+                    chain = maximal_chain(u, v)
+                    length = [s[1] for s in is_basis(u, v).trace if s[0] == "chain-length"]
+                    if walked is None:
+                        assert chain.is_infinite and length == ["infinite"], (su, sv)
+                        assert in_same_chain(*_pair(_rotated(su, 1), _rotated(sv, 1)), u, v)
+                        continue
+                    members, back = walked
+                    assert [(a.letters, b.letters) for a, b in chain.pairs] == members, (su, sv)
+                    assert length == [len(members) - 1], (su, sv)
+                    if len(members) - 1 == total - 2:
+                        assert sturmian_position(u, v)[1] == back, (su, sv)
+                    for a, b in chain.pairs:
+                        assert in_same_chain(a, b, u, v), (su, sv, a, b)
+                    # the first rotation past the right end that is no member;
+                    # simultaneous rotations repeat after |u| * |v| steps
+                    start = len(members) - back
+                    outside = next(
+                        (
+                            (_rotated(su, k), _rotated(sv, k))
+                            for k in range(start, start + i * (total - i))
+                            if (_rotated(su, k), _rotated(sv, k)) not in members
+                        ),
+                        None,
+                    )
+                    if outside is not None:
+                        assert not in_same_chain(*_pair(*outside), u, v), (su, sv, outside)
 
 
 def test_is_basis_positive_matches_oracle_exhaustively():
@@ -334,6 +406,16 @@ def test_decompose_round_trips():
         assert psi(_w("a")) == u and psi(_w("b")) == v
 
 
+def test_decompose_peels_long_quotients():
+    # slope 1/k, then two copies of the short word peeled at once
+    k = 5000
+    tokens = (("G", 1),) * k + (("D", 1),) * 2
+    u, v = _w(("a" * k + "b") * 2 + "a"), _w("a" * k + "b")
+    assert standard_pair_decompose(u, v) == tokens
+    phi = eval_sturmian(tokens)
+    assert phi(_w("a")) == u and phi(_w("b")) == v
+
+
 def test_decompose_mixed_families_reject():
     # a pair built across the two families peels in neither orientation
     phi = eval_sturmian((("G", 1), ("Dt", 1)))
@@ -411,3 +493,36 @@ def test_only_rank_two_pairs():
     for check in (maximal_chain, is_basis_positive, step_forward, standard_pair_decompose):
         with pytest.raises(ValueError, match="rank 2"):
             check(ac, a)
+
+
+def test_long_basis_runs_in_linear_memory():
+    # a walk that keeps its chain needs about (|u| + |v|)^2 bytes here, 120 MB
+    u, v = christoffel_basis((4181, 2584), (2584, 1597))
+    assert (len(u), len(v)) == (6765, 4181)
+    results = {}
+    for check in (is_basis, is_basis_positive, sturmian_position, palindromize):
+        tracemalloc.start()
+        try:
+            results[check] = check(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (check.__name__, peak)
+    assert results[is_basis] == BasisVerdict(True, "", (
+        ("quadrant-map", "id"),
+        ("positive-pair", u.letters, v.letters),
+        ("chain-length", 10944),
+    ))
+    assert results[is_basis_positive]
+    tokens, offset, conjugator = results[sturmian_position]
+    assert format_sturmian(tokens) == " ".join(["G D"] * 9)
+    assert offset == 6764
+    assert conjugator.letters == u.letters[1:]
+    phi = eval_sturmian(tokens)
+    assert phi(_w("a")).conjugated_by(conjugator.inverse()) == u
+    assert phi(_w("b")).conjugated_by(conjugator.inverse()) == v
+    pu, pv = results[palindromize]
+    assert pu.is_palindrome and pv.is_palindrome
+    assert (pu.abelianization(), pv.abelianization()) == ((4181, 2584), (2584, 1597))
+    assert pu.letters.startswith("ababaabaababaabaababaababaabaababaababaa")
+    assert in_same_chain(pu, pv, u, v)
