@@ -21,8 +21,6 @@ from typing import Iterable
 from .morphisms import (
     F2Morphism,
     Mat2,
-    SHEAR_L,
-    SHEAR_R,
     SturmianWord,
     generator,
     generator_inverse,
@@ -264,14 +262,7 @@ def f2_action_ext(e: ExtBraid) -> F2Morphism:
     return out
 
 
-_GL2 = {
-    1: SHEAR_R,
-    -1: SHEAR_R.inverse(),
-    2: SHEAR_L.inverse(),
-    -2: SHEAR_L,
-    3: SHEAR_R,
-    -3: SHEAR_R.inverse(),
-}
+_GL2 = {letter: phi.matrix() for letter, phi in _F2_ACTION.items()}
 
 
 def gl2_image(w: BraidWord) -> Mat2:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .morphisms import SturmianWord, generator
-from .words import FreeWord, _shown
+from .words import FreeWord, _shown, commutator
 
 _T = generator("T")
 
@@ -131,10 +131,10 @@ def maximal_chain(u: FreeWord, v: FreeWord) -> MaximalChain:
     return MaximalChain(tuple(_rotation(su, sv, k) for k in range(-back, forward + 1)))
 
 
-def _basis_offset(su: str, sv: str) -> int | None:
-    """Steps back to the left end of a basis's chain; None for a non-basis."""
-    span = _chain_span(su, sv)
-    if span is None or sum(span) != len(su) + len(sv) - 2:
+def _basis_offset(span: tuple[int, int] | None, length: int) -> int | None:
+    """Steps back to the left end of a basis's chain, from its span and
+    |u| + |v|; None for a non-basis."""
+    if span is None or sum(span) != length - 2:
         return None
     return span[0]
 
@@ -142,13 +142,14 @@ def _basis_offset(su: str, sv: str) -> int | None:
 def is_basis_positive(u: FreeWord, v: FreeWord) -> bool:
     """The chain criterion for a positive pair."""
     _check_positive_pair(u, v)
-    return _basis_offset(u.letters, v.letters) is not None
+    su, sv = u.letters, v.letters
+    return _basis_offset(_chain_span(su, sv), len(su) + len(sv)) is not None
 
 
 def nielsen_dehn_oracle(u: FreeWord, v: FreeWord) -> bool:
     """Independent basis test: the commutator is conjugate to that of the generators."""
     _check_rank_two(u, v)
-    c = u * v * u.inverse() * v.inverse()
+    c = commutator(u, v)
     return c.is_conjugate_to(_BASE_COMMUTATOR) or c.is_conjugate_to(
         _BASE_COMMUTATOR_INV
     )
@@ -167,14 +168,16 @@ class BasisVerdict:
     trace: tuple[TraceStep, ...]
 
 
-_QUADRANT_SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-_QUADRANT_MAPS = {1: "id", 2: "T-inv", 3: "inv", 4: "T"}
+# the involution of F2 that moves each closed quadrant of Z^2, given by
+# its sign pattern, onto the first; tried in this order
+_QUADRANT_MAPS = (((1, 1), "id"), ((-1, 1), "T-inv"), ((-1, -1), "inv"), ((1, -1), "T"))
 
 
-def _common_quadrant(a: tuple[int, int], b: tuple[int, int]) -> int | None:
-    for idx, (sp, sq) in enumerate(_QUADRANT_SIGNS, 1):
+def _quadrant_map(a: tuple[int, int], b: tuple[int, int]) -> str | None:
+    """The map taking both points into the closed first quadrant, or None."""
+    for (sp, sq), name in _QUADRANT_MAPS:
         if a[0] * sp >= 0 and a[1] * sq >= 0 and b[0] * sp >= 0 and b[1] * sq >= 0:
-            return idx
+            return name
     return None
 
 
@@ -191,28 +194,40 @@ def _apply_quadrant_map(name: str, w: FreeWord) -> FreeWord:
     raise ValueError("unknown quadrant map %r" % (name,))
 
 
-_CONJUGATION_LETTERS = tuple(FreeWord(ch) for ch in "abAB")
+def _normalized(
+    u: FreeWord, v: FreeWord, trace: list[TraceStep]
+) -> tuple[str, str, int, bool, str] | str:
+    """Steps two to four of the decision on a cyclically reduced pair.
 
-
-def _normalize_cyclically_reduced(
-    u: FreeWord, v: FreeWord
-) -> tuple[FreeWord, FreeWord, bool, str] | str:
-    """Steps two and three of the decision: move a cyclically reduced pair
-    into the first quadrant.  Returns (u', v', second_inverted, map_name)
-    or a failure reason."""
+    Moves the pair into the first quadrant, requires it to be positive
+    and applies the chain criterion, appending each step to trace.
+    Returns (u', v', back, second_inverted, map_name), back being the
+    steps to the left end of the chain, or the reason the pair is no basis.
+    """
     pu, pv = u.abelianization(), v.abelianization()
     if pu == (0, 0) or pv == (0, 0):
         return "a word abelianizes to zero"
     inverted = False
-    quad = _common_quadrant(pu, pv)
-    if quad is None:
-        quad = _common_quadrant(pu, (-pv[0], -pv[1]))
-        if quad is None:
+    name = _quadrant_map(pu, pv)
+    if name is None:
+        name = _quadrant_map(pu, (-pv[0], -pv[1]))
+        if name is None:
             return "images share no closed quadrant, even after inverting the second"
         inverted = True
         v = v.inverse()
-    name = _QUADRANT_MAPS[quad]
-    return _apply_quadrant_map(name, u), _apply_quadrant_map(name, v), inverted, name
+        trace.append(("invert-second",))
+    trace.append(("quadrant-map", name))
+    u, v = _apply_quadrant_map(name, u), _apply_quadrant_map(name, v)
+    if not (u.is_positive and v.is_positive):
+        return "pair is not positive after normalization"
+    su, sv = u.letters, v.letters
+    trace.append(("positive-pair", su, sv))
+    span = _chain_span(su, sv)
+    trace.append(("chain-length", "infinite" if span is None else sum(span)))
+    back = _basis_offset(span, len(su) + len(sv))
+    if back is None:
+        return "chain length differs from |u| + |v| - 2"
+    return su, sv, back, inverted, name
 
 
 def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
@@ -223,38 +238,25 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     requires the outcome to be positive, and applies the chain
     criterion.  Every normalization move lands in the trace, so a
     positive verdict can be replayed back to the input.
+
+    Each conjugation is forced: only conjugating a word that is not
+    cyclically reduced by its own last letter shortens it, and any
+    other letter lengthens such a word, so the one candidate is the
+    last letter of u when u is not cyclically reduced, else that of v.
     """
     _check_rank_two(u, v)
     trace: list[TraceStep] = []
     while not (u.is_cyclically_reduced and v.is_cyclically_reduced):
-        for d in _CONJUGATION_LETTERS:
-            nu, nv = u.conjugated_by(d), v.conjugated_by(d)
-            if len(nu) + len(nv) < len(u) + len(v):
-                trace.append(("conjugate", d.letters))
-                u, v = nu, nv
-                break
-        else:
-            return BasisVerdict(
-                False, "no conjugation shortens the pair", tuple(trace)
-            )
-    normalized = _normalize_cyclically_reduced(u, v)
+        d = FreeWord._make((v if u.is_cyclically_reduced else u).letters[-1])
+        nu, nv = u.conjugated_by(d), v.conjugated_by(d)
+        if len(nu) + len(nv) >= len(u) + len(v):
+            return BasisVerdict(False, "no conjugation shortens the pair", tuple(trace))
+        trace.append(("conjugate", d.letters))
+        u, v = nu, nv
+    normalized = _normalized(u, v, trace)
     if isinstance(normalized, str):
         return BasisVerdict(False, normalized, tuple(trace))
-    u, v, inverted, map_name = normalized
-    if inverted:
-        trace.append(("invert-second",))
-    trace.append(("quadrant-map", map_name))
-    if not (u.is_positive and v.is_positive):
-        return BasisVerdict(
-            False, "pair is not positive after normalization", tuple(trace)
-        )
-    trace.append(("positive-pair", u.letters, v.letters))
-    span = _chain_span(u.letters, v.letters)
-    n = "infinite" if span is None else sum(span)
-    trace.append(("chain-length", n))
-    if n == len(u) + len(v) - 2:
-        return BasisVerdict(True, "", tuple(trace))
-    return BasisVerdict(False, "chain length differs from |u| + |v| - 2", tuple(trace))
+    return BasisVerdict(True, "", tuple(trace))
 
 
 def _normalized_left_end(
@@ -262,16 +264,10 @@ def _normalized_left_end(
 ) -> tuple[str, str, bool, str]:
     """Normalize a cyclically reduced basis and find the left end of its chain."""
     _check_cyclically_reduced(u, v)
-    normalized = _normalize_cyclically_reduced(u, v)
+    normalized = _normalized(u, v, [])
     if isinstance(normalized, str):
         raise NotABasisError(normalized)
-    pu, pv, inverted, map_name = normalized
-    if not (pu.is_positive and pv.is_positive):
-        raise NotABasisError("pair is not positive after normalization")
-    su, sv = pu.letters, pv.letters
-    back = _basis_offset(su, sv)
-    if back is None:
-        raise NotABasisError("chain length differs from |u| + |v| - 2")
+    su, sv, back, inverted, map_name = normalized
     left_u, left_v = _rotation(su, sv, -back)
     return left_u.letters, left_v.letters, inverted, map_name
 
@@ -319,6 +315,7 @@ def in_same_chain(
     infinite chain pairs powers of one root, so it cycles through all
     of its members within the first |u_pos| rotations.
     """
+    _check_rank_two(u, v)
     _check_cyclically_reduced(u, v)
     _check_positive_pair(u_pos, v_pos)
     tu, tv = u.letters, v.letters
@@ -401,7 +398,7 @@ def sturmian_position(
     """
     _check_positive_pair(u, v)
     su, sv = u.letters, v.letters
-    offset = _basis_offset(su, sv)
+    offset = _basis_offset(_chain_span(su, sv), len(su) + len(sv))
     if offset is None:
         raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
     u0, v0 = _rotation(su, sv, -offset)

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .chains import NotABasisError, is_basis
-from .morphisms import generator
+from .chains import NotABasisError, _apply_quadrant_map, _quadrant_map, is_basis
 from .words import FreeWord, _shown
-
-_T = generator("T")
 
 Point = tuple[int, int]
 
@@ -46,13 +43,9 @@ def christoffel_word(p: int, q: int) -> FreeWord:
     'bAAbAAA'
     """
     _validate_pair(p, q)
-    if p >= 0 and q >= 0:
-        return FreeWord(_lower_letters(p, q))
-    if p >= 0:
-        return _T(FreeWord(_lower_letters(p, -q)))
-    if q >= 0:
-        return _T(FreeWord(_lower_letters(-p, q)).inverse())
-    return FreeWord(_lower_letters(-p, -q)).inverse()
+    return _apply_quadrant_map(
+        _quadrant_map((p, q), (p, q)), FreeWord(_lower_letters(abs(p), abs(q)))
+    )
 
 
 def upper_christoffel_word(p: int, q: int) -> FreeWord:
@@ -148,9 +141,7 @@ def is_primitive(w: FreeWord) -> bool:
     p, q = core.abelianization()
     if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
         return False
-    cw = christoffel_word(p, q).letters
-    s = core.letters
-    return len(s) == len(cw) and s in cw + cw
+    return core.is_conjugate_to(christoffel_word(p, q))
 
 
 def path_svg(p: int, q: int, upper: bool = False) -> str:

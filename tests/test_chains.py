@@ -73,6 +73,39 @@ def _reference_walk(su: str, sv: str) -> tuple[list[tuple[str, str]], int] | Non
     return members, back
 
 
+_CONJUGATION_LETTERS = tuple(FreeWord(ch) for ch in "abAB")
+
+
+def _reference_conjugation(u: FreeWord, v: FreeWord) -> tuple[list[str], bool]:
+    """The conjugation step of the basis decision as a search over letters.
+
+    Tries a, b, A, B in turn and conjugates by the first that shortens
+    the pair, until both words are cyclically reduced; kept as an oracle
+    for the forced conjugation in is_basis.  Returns the letters used and
+    whether the search got stuck.
+    """
+    letters = []
+    while not (u.is_cyclically_reduced and v.is_cyclically_reduced):
+        for d in _CONJUGATION_LETTERS:
+            nu, nv = u.conjugated_by(d), v.conjugated_by(d)
+            if len(nu) + len(nv) < len(u) + len(v):
+                letters.append(d.letters)
+                u, v = nu, nv
+                break
+        else:
+            return letters, True
+    return letters, False
+
+
+def _random_reduced(rng: random.Random, n: int) -> FreeWord:
+    s = ""
+    while len(s) < n:
+        ch = rng.choice("abAB")
+        if not s or s[-1] != ch.swapcase():
+            s += ch
+    return _w(s)
+
+
 def _rotated(s: str, k: int) -> str:
     k %= len(s)
     return s[k:] + s[:k]
@@ -361,6 +394,33 @@ def test_palindromize_all_short_bases():
                     assert pu.is_palindrome and pv.is_palindrome, (su, sv)
 
 
+def test_conjugation_matches_reference_search():
+    words = [""]
+    for n in range(1, 5):
+        words += [w + ch for w in words if len(w) == n - 1 for ch in "abAB"
+                  if not w or w[-1] != ch.swapcase()]
+    pairs = [_pair(x, y) for x in words for y in words]
+    assert len(pairs) == 25_921
+    rng = random.Random(2718)
+    for _ in range(3000):
+        x = _random_reduced(rng, rng.randint(0, 40))
+        y = _random_reduced(rng, rng.randint(0, 3))
+        u0 = _random_reduced(rng, rng.randint(1, 8))
+        v0 = _random_reduced(rng, rng.randint(1, 8))
+        pairs.append((u0.conjugated_by(x), v0.conjugated_by(x * y)))
+    stuck_late = deep_bases = 0
+    for u, v in pairs:
+        letters, stuck = _reference_conjugation(u, v)
+        verdict = is_basis(u, v)
+        steps = [step[1] for step in verdict.trace if step[0] == "conjugate"]
+        assert steps == letters, (str(u), str(v))
+        assert (verdict.reason == "no conjugation shortens the pair") == stuck
+        stuck_late += stuck and len(letters) >= 1
+        deep_bases += verdict.is_basis and len(letters) >= 10
+    # the sample reaches both ends of the loop after real work
+    assert stuck_late >= 100 and deep_bases >= 10, (stuck_late, deep_bases)
+
+
 def test_in_same_chain():
     assert in_same_chain(_w("ababa"), _w("aba"), _w("abaab"), _w("aba"))
     assert in_same_chain(_w("baaba"), _w("aba"), _w("abaab"), _w("aba"))
@@ -493,6 +553,8 @@ def test_only_rank_two_pairs():
     for check in (maximal_chain, is_basis_positive, step_forward, standard_pair_decompose):
         with pytest.raises(ValueError, match="rank 2"):
             check(ac, a)
+    with pytest.raises(ValueError, match="rank 2"):
+        in_same_chain(FreeWord("ab", rank=3), a, _w("ab"), _w("a"))
 
 
 def test_long_basis_runs_in_linear_memory():
