@@ -18,6 +18,7 @@ unless u and v commute, which is exactly when the chain is infinite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .morphisms import SturmianWord, generator
@@ -169,55 +170,56 @@ class BasisVerdict:
 
 
 # the involution of F2 that moves each closed quadrant of Z^2, given by
-# its sign pattern, onto the first; tried in this order
-_QUADRANT_MAPS = (((1, 1), "id"), ((-1, 1), "T-inv"), ((-1, -1), "inv"), ((1, -1), "T"))
+# its sign pattern, onto the first, with its name in the trace; tried
+# in this order
+_QUADRANT_MAPS = (
+    ((1, 1), "id", lambda w: w),
+    ((-1, 1), "T-inv", lambda w: _T(w.inverse())),
+    ((-1, -1), "inv", FreeWord.inverse),
+    ((1, -1), "T", _T),
+)
 
 
-def _quadrant_map(a: tuple[int, int], b: tuple[int, int]) -> str | None:
+def _quadrant_map(
+    a: tuple[int, int], b: tuple[int, int]
+) -> tuple[str, Callable[[FreeWord], FreeWord]] | None:
     """The map taking both points into the closed first quadrant, or None."""
-    for (sp, sq), name in _QUADRANT_MAPS:
+    for (sp, sq), name, involution in _QUADRANT_MAPS:
         if a[0] * sp >= 0 and a[1] * sq >= 0 and b[0] * sp >= 0 and b[1] * sq >= 0:
-            return name
+            return name, involution
     return None
 
 
-def _apply_quadrant_map(name: str, w: FreeWord) -> FreeWord:
-    # all four maps are involutions
-    if name == "id":
-        return w
-    if name == "inv":
-        return w.inverse()
-    if name == "T":
-        return _T(w)
-    if name == "T-inv":
-        return _T(w.inverse())
-    raise ValueError("unknown quadrant map %r" % (name,))
+# (u', v', back, unmap) for a pair that passes the chain criterion
+_Normalized = tuple[str, str, int, Callable[[WordPair], WordPair]]
 
 
 def _normalized(
     u: FreeWord, v: FreeWord, trace: list[TraceStep]
-) -> tuple[str, str, int, bool, str] | str:
+) -> _Normalized | str:
     """Steps two to four of the decision on a cyclically reduced pair.
 
     Moves the pair into the first quadrant, requires it to be positive
     and applies the chain criterion, appending each step to trace.
-    Returns (u', v', back, second_inverted, map_name), back being the
-    steps to the left end of the chain, or the reason the pair is no basis.
+    Returns (u', v', back, unmap), back being the steps to the left end
+    of the chain and unmap the way from a normalized pair back to the
+    input's quadrant, or the reason the pair is no basis.
     """
     pu, pv = u.abelianization(), v.abelianization()
     if pu == (0, 0) or pv == (0, 0):
         return "a word abelianizes to zero"
     inverted = False
-    name = _quadrant_map(pu, pv)
-    if name is None:
-        name = _quadrant_map(pu, (-pv[0], -pv[1]))
-        if name is None:
+    found = _quadrant_map(pu, pv)
+    if found is None:
+        found = _quadrant_map(pu, (-pv[0], -pv[1]))
+        if found is None:
             return "images share no closed quadrant, even after inverting the second"
         inverted = True
         v = v.inverse()
         trace.append(("invert-second",))
+    name, involution = found
     trace.append(("quadrant-map", name))
-    u, v = _apply_quadrant_map(name, u), _apply_quadrant_map(name, v)
+    u, v = involution(u), involution(v)
     if not (u.is_positive and v.is_positive):
         return "pair is not positive after normalization"
     su, sv = u.letters, v.letters
@@ -227,7 +229,13 @@ def _normalized(
     back = _basis_offset(span, len(su) + len(sv))
     if back is None:
         return "chain length differs from |u| + |v| - 2"
-    return su, sv, back, inverted, name
+
+    def unmap(pair: WordPair) -> WordPair:
+        # all four maps are involutions, so applying the map again undoes it
+        x, y = involution(pair[0]), involution(pair[1])
+        return (x, y.inverse()) if inverted else (x, y)
+
+    return su, sv, back, unmap
 
 
 def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
@@ -259,34 +267,20 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     return BasisVerdict(True, "", tuple(trace))
 
 
-def _normalized_left_end(
-    u: FreeWord, v: FreeWord
-) -> tuple[str, str, bool, str]:
-    """Normalize a cyclically reduced basis and find the left end of its chain."""
+def _normalized_basis(u: FreeWord, v: FreeWord) -> _Normalized:
+    """Normalize a cyclically reduced pair, raising when it is no basis."""
     _check_cyclically_reduced(u, v)
     normalized = _normalized(u, v, [])
     if isinstance(normalized, str):
         raise NotABasisError(normalized)
-    su, sv, back, inverted, map_name = normalized
-    left_u, left_v = _rotation(su, sv, -back)
-    return left_u.letters, left_v.letters, inverted, map_name
-
-
-def _map_back(pair: WordPair, inverted: bool, map_name: str) -> WordPair:
-    x, y = pair
-    x = _apply_quadrant_map(map_name, x)
-    y = _apply_quadrant_map(map_name, y)
-    if inverted:
-        y = y.inverse()
-    return x, y
+    return normalized
 
 
 def conjugate_bases(u: FreeWord, v: FreeWord) -> tuple[WordPair, ...]:
     """All cyclically reduced bases conjugate to (u, v); there are |u| + |v| - 1."""
-    su, sv, inverted, map_name = _normalized_left_end(u, v)
+    su, sv, back, unmap = _normalized_basis(u, v)
     return tuple(
-        _map_back(_rotation(su, sv, k), inverted, map_name)
-        for k in range(len(su) + len(sv) - 1)
+        unmap(_rotation(su, sv, k)) for k in range(-back, len(su) + len(sv) - 1 - back)
     )
 
 
@@ -300,9 +294,8 @@ def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
     """
     if len(u) % 2 == 0 or len(v) % 2 == 0:
         raise EvenLengthError("palindromic conjugates need odd length components")
-    su, sv, inverted, map_name = _normalized_left_end(u, v)
-    middle = (len(u) + len(v)) // 2 - 1
-    return _map_back(_rotation(su, sv, middle), inverted, map_name)
+    su, sv, back, unmap = _normalized_basis(u, v)
+    return unmap(_rotation(su, sv, (len(u) + len(v)) // 2 - 1 - back))
 
 
 def in_same_chain(

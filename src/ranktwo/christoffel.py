@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .chains import NotABasisError, _apply_quadrant_map, _quadrant_map, is_basis
+from .chains import NotABasisError, _quadrant_map, nielsen_dehn_oracle
 from .words import FreeWord, _shown
 
 Point = tuple[int, int]
@@ -43,9 +43,8 @@ def christoffel_word(p: int, q: int) -> FreeWord:
     'bAAbAAA'
     """
     _validate_pair(p, q)
-    return _apply_quadrant_map(
-        _quadrant_map((p, q), (p, q)), FreeWord(_lower_letters(abs(p), abs(q)))
-    )
+    _, involution = _quadrant_map((p, q), (p, q))
+    return involution(FreeWord(_lower_letters(abs(p), abs(q))))
 
 
 def upper_christoffel_word(p: int, q: int) -> FreeWord:
@@ -130,7 +129,7 @@ def christoffel_normal_form(u: FreeWord, v: FreeWord) -> tuple[FreeWord, FreeWor
     The result depends only on the conjugacy class of the pair, which
     makes it a normal form for bases up to simultaneous conjugation.
     """
-    if not is_basis(u, v).is_basis:
+    if not nielsen_dehn_oracle(u, v):
         raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
     return christoffel_basis(u.abelianization(), v.abelianization())
 

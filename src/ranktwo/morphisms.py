@@ -225,10 +225,7 @@ def inner_witness(phi: F2Morphism) -> FreeWord | None:
         k += 1
     if k >= n or z[k] != "b":
         return None
-    head = z[:k]
-    if head and len(set(head)) != 1:
-        return None
-    exp = k if head.startswith("a") or not head else -k
+    exp = -k if z.startswith("A") else k
     w = r * FreeWord("a") ** exp
     if phi == inner(w):
         return w

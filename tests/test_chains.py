@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -27,7 +28,13 @@ from ranktwo.chains import (
     sturmian_position,
 )
 from ranktwo.christoffel import christoffel_basis, christoffel_normal_form
-from ranktwo.morphisms import eval_sturmian, format_sturmian
+from ranktwo.morphisms import (
+    GENERATOR_NAMES,
+    eval_sturmian,
+    format_sturmian,
+    generator,
+    generator_inverse,
+)
 from ranktwo.words import FreeWord
 
 
@@ -104,6 +111,20 @@ def _random_reduced(rng: random.Random, n: int) -> FreeWord:
         if not s or s[-1] != ch.swapcase():
             s += ch
     return _w(s)
+
+
+_AUT_GENERATORS = [generator(n) for n in GENERATOR_NAMES] + [
+    generator_inverse(n) for n in GENERATOR_NAMES
+]
+
+
+def _automorphic_image(rng: random.Random) -> tuple[FreeWord, FreeWord]:
+    """The image of (a, b) under a random word of 0-12 automorphism generators."""
+    u, v = _w("a"), _w("b")
+    for _ in range(rng.randint(0, 12)):
+        phi = rng.choice(_AUT_GENERATORS)
+        u, v = phi(u), phi(v)
+    return u, v
 
 
 def _rotated(s: str, k: int) -> str:
@@ -329,6 +350,60 @@ def test_is_basis_matches_oracle_on_general_words():
         if not u or not v:
             continue
         assert is_basis(u, v).is_basis == nielsen_dehn_oracle(u, v)
+
+
+def test_decision_oracle_and_normal_form_agree_on_large_inputs():
+    rng = random.Random(5120)
+    counts = Counter()
+    for _ in range(600):
+        u, v = _automorphic_image(rng)
+        if rng.random() < 0.2:
+            v = v * v
+        if rng.random() < 0.1:
+            u = u * _w(rng.choice("abAB"))
+        c = _random_reduced(rng, rng.randint(0, 300))
+        u, v = u.conjugated_by(c), v.conjugated_by(c)
+        basis = nielsen_dehn_oracle(u, v)
+        assert is_basis(u, v).is_basis == basis, (str(u), str(v))
+        counts[basis] += 1
+        if basis:
+            assert christoffel_normal_form(u, v) == christoffel_basis(
+                u.abelianization(), v.abelianization()
+            )
+        else:
+            with pytest.raises(NotABasisError):
+                christoffel_normal_form(u, v)
+    assert counts[True] >= 100 and counts[False] >= 100, counts
+
+
+def test_conjugate_bases_round_trip_through_every_quadrant_map():
+    # each (invert-second, quadrant map) combination the decision can take
+    # must be undone by the normal forms
+    rng = random.Random(8128)
+    seen = Counter()
+    for _ in range(1500):
+        u, v = _automorphic_image(rng)
+        if not (u.is_cyclically_reduced and v.is_cyclically_reduced):
+            continue
+        trace = is_basis(u, v).trace
+        quadrant = next(step[1] for step in trace if step[0] == "quadrant-map")
+        seen[("invert-second",) in trace, quadrant] += 1
+        pairs = conjugate_bases(u, v)
+        assert len(set(pairs)) == len(pairs) == len(u) + len(v) - 1
+        assert (u, v) in pairs
+        for pu, pv in pairs:
+            assert pu.is_cyclically_reduced and pv.is_cyclically_reduced
+            assert (pu.abelianization(), pv.abelianization()) == (
+                u.abelianization(),
+                v.abelianization(),
+            )
+            assert pu.is_conjugate_to(u) and pv.is_conjugate_to(v)
+            assert nielsen_dehn_oracle(pu, pv)
+        if len(u) % 2 and len(v) % 2:
+            pu, pv = palindromize(u, v)
+            assert pu.is_palindrome and pv.is_palindrome
+            assert (pu, pv) in pairs
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
 def test_conjugate_bases():
