@@ -1,10 +1,17 @@
 """Words in the braid groups on three and four strands.
 
 A braid word is a sequence of nonzero generator indices, negative for
-inverses.  Equality of braids is decided through the faithful action on
-a free group of the same rank: generator i sends x_i to
-x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a word acts by composing the
-generator actions left to right, the same convention as for morphisms.
+inverses.  Equality of braids is decided by the Garside left normal
+form Delta^p A1 ... Ar, whose factors are permutation braids (Garside
+1969; Thurston in Epstein et al., *Word Processing in Groups*, ch. 9):
+two words are equal exactly when their normal forms are, and the form
+costs O(L^2) table lookups in the word length L.  The faithful action
+on a free group of the same rank, :func:`artin_action`, stays as an
+independent oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and
+x_{i+1} to x_i, and a word acts by composing the generator actions left
+to right, the same convention as for morphisms.  Those images grow
+exponentially with the word, so every free-group image is capped at
+:data:`IMAGE_LETTER_LIMIT` letters.
 
 On four strands the index 4 is accepted as surface syntax for the
 conjugate generator delta sigma_3 delta^-1; it is eliminated before any
@@ -16,6 +23,7 @@ normal form (braid, flag) for braid * w^flag.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable
 
 from .morphisms import (
@@ -142,43 +150,133 @@ def _artin_generator(rank: int, letter: int) -> F2Morphism:
 
 
 _ARTIN = {
-    (rank, letter): _artin_generator(rank, letter)
+    rank: {
+        letter: _artin_generator(rank, letter)
+        for i in range(1, rank)
+        for letter in (i, -i)
+    }
     for rank in (3, 4)
-    for i in range(1, rank)
-    for letter in (i, -i)
 }
+
+IMAGE_LETTER_LIMIT = 1 << 20
+"""The most letters, summed over the generator images, a built free-group image may have.
+
+Free-group images of braids grow exponentially with the word, so
+:func:`artin_action` and :func:`f2_action` raise ValueError once an
+image passes this size instead of running out of time or memory.
+"""
+
+
+def _composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
+    out = F2Morphism.identity(rank)
+    for letter in letters:
+        out = out * table[letter]
+        if sum(len(w) for w in out.images) > IMAGE_LETTER_LIMIT:
+            raise ValueError(
+                "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
+            )
+    return out
 
 
 def artin_action(w: BraidWord) -> F2Morphism:
     """The action of the braid on the free group of rank `strands`."""
-    w = w.expand()
-    out = F2Morphism.identity(w.strands)
-    for letter in w.letters:
-        out = out * _ARTIN[w.strands, letter]
-    return out
+    return _composed(w.strands, _ARTIN[w.strands], w.expand().letters)
+
+
+def _inversions(perm: tuple[int, ...]) -> int:
+    return sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
+
+
+def _garside_tables(
+    n: int,
+) -> tuple[int, list[int], list[int], list[int], list[int], list[int], dict[int, int]]:
+    """Tables of the permutation braids on n strands, indexed by descending length.
+
+    So Delta is 0 and the identity is the last index.  Returns the table
+    size, then flat products ``mul[a * size + b]``, inverses, complements
+    a^-1 Delta, tau(a) = Delta^-1 a Delta, flat meets (longest common
+    left divisors) and the factor each letter appends: sigma_i for i > 0,
+    and tau(sigma_i^-1 Delta) for -i, since sigma_i^-1 is Delta^-1 times it.
+    """
+    perms = sorted(permutations(range(n)), key=_inversions, reverse=True)
+    size = len(perms)
+    index = {p: k for k, p in enumerate(perms)}
+    length = [_inversions(p) for p in perms]
+    mul = [index[tuple(a[i] for i in b)] for a in perms for b in perms]
+    inv = [index[tuple(sorted(range(n), key=p.__getitem__))] for p in perms]
+    comp = [mul[inv[a] * size] for a in range(size)]
+    tau = [mul[mul[a] * size] for a in range(size)]
+    # a left-divides b when the lengths add up: l(a) + l(a^-1 b) = l(b)
+    divisors = [
+        sum(1 << a for a in range(size) if length[a] + length[mul[inv[a] * size + b]] == length[b])
+        for b in range(size)
+    ]
+    # the longest common divisor is the lowest common bit, by the ordering
+    common = (divisors[a] & divisors[b] for a in range(size) for b in range(size))
+    meet = [(c & -c).bit_length() - 1 for c in common]
+    letters = {}
+    for i in range(1, n):
+        s = index[tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, n))]
+        letters[i], letters[-i] = s, tau[comp[s]]
+    return size, mul, inv, comp, tau, meet, letters
+
+
+_GARSIDE = {n: _garside_tables(n) for n in (3, 4)}
+
+
+def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """The left normal form Delta^p A1 ... Ar of the braid, as (p, (A1, ..., Ar)).
+
+    Each factor indexes the permutation braids of :func:`_garside_tables`;
+    none is Delta or the identity, and each pair is left-weighted:
+    the meet of A(k-1)^-1 Delta and A(k) is the identity.
+    """
+    size, mul, inv, comp, tau, meet, letters = _GARSIDE[w.strands]
+    identity = size - 1
+    p = 0
+    factors: list[int] = []
+    for letter in w.expand().letters:
+        if letter < 0:
+            # A1 ... Ar Delta^-1 = Delta^-1 tau(A1) ... tau(Ar)
+            p -= 1
+            factors = [tau[a] for a in factors]
+        factors.append(letters[letter])
+        k = len(factors) - 1
+        while k:
+            a, b = factors[k - 1], factors[k]
+            m = meet[comp[a] * size + b]
+            if m == identity:
+                break
+            factors[k - 1], factors[k] = mul[a * size + m], mul[inv[m] * size + b]
+            k -= 1
+        while factors and factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == 0:
+        lead += 1
+    return p + lead, tuple(factors[lead:])
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Equality in the braid group, via the faithful free-group action."""
+    """Equality in the braid group, by comparing left normal forms."""
     if w1.strands != w2.strands:
         raise ValueError("cannot compare braids on different strand counts")
-    return artin_action(w1) == artin_action(w2)
+    return _normal_form(w1) == _normal_form(w2)
 
 
 def eq_mod_center(w1: BraidWord, w2: BraidWord) -> bool:
     """Equality modulo the center of the four-strand group.
 
-    The center is generated by delta^4, whose exponent sum is 12, so the
-    power of delta^4 separating the words is forced by the exponent sums
-    and then verified exactly.
+    The center is generated by Delta^2 (which is delta^4), and
+    multiplying by it adds 2 to the Delta power of the left normal form
+    and leaves the factors alone.  So the braids agree modulo the center
+    exactly when their factors agree and their Delta powers differ by an
+    even number.
     """
     if w1.strands != 4 or w2.strands != 4:
         raise ValueError("equality modulo the center applies to four-strand braids")
-    diff = w1.exponent_sum() - w2.exponent_sum()
-    if diff % 12:
-        return False
-    k = diff // 12
-    return braid_equal(w1, w2 * delta() ** (4 * k))
+    (p1, factors1), (p2, factors2) = _normal_form(w1), _normal_form(w2)
+    return factors1 == factors2 and (p1 - p2) % 2 == 0
 
 
 _OMEGA_TABLE = {1: -2, -1: 2, 2: -1, -2: 1, 3: -4, -3: 4, 4: -3, -4: 3}
@@ -248,10 +346,7 @@ def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt."""
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    out = F2Morphism.identity()
-    for letter in w.expand().letters:
-        out = out * _F2_ACTION[letter]
-    return out
+    return _composed(2, _F2_ACTION, w.expand().letters)
 
 
 def f2_action_ext(e: ExtBraid) -> F2Morphism:

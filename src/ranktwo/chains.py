@@ -298,6 +298,16 @@ def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
     return unmap(_rotation(su, sv, (len(u) + len(v)) // 2 - 1 - back))
 
 
+def _rotation_residue(s: str, t: str) -> tuple[int, int] | None:
+    """(r, p) such that s rotated k places left is t exactly when k = r mod p; None when never.
+
+    p is the primitive period of s, the least rotation that fixes it.
+    """
+    ss = s + s
+    r = ss.find(t)
+    return None if r < 0 else (r, ss.find(s, 1))
+
+
 def in_same_chain(
     u: FreeWord, v: FreeWord, u_pos: FreeWord, v_pos: FreeWord
 ) -> bool:
@@ -306,7 +316,9 @@ def in_same_chain(
     For a finite chain this is exactly simultaneous conjugacy of the
     pairs, tested at every rotation offset the chain spans.  An
     infinite chain pairs powers of one root, so it cycles through all
-    of its members within the first |u_pos| rotations.
+    of its members within the first |u_pos| rotations.  Each word
+    matches only at the offsets of one residue class, so only the
+    offsets of the coarser class are tested against the other.
     """
     _check_rank_two(u, v)
     _check_cyclically_reduced(u, v)
@@ -315,14 +327,13 @@ def in_same_chain(
     su, sv = u_pos.letters, v_pos.letters
     if len(tu) != len(su) or len(tv) != len(sv):
         return False
+    residues = (_rotation_residue(su, tu), _rotation_residue(sv, tv))
+    if None in residues:
+        return False
+    (r, p), (r2, p2) = sorted(residues, key=lambda residue: residue[1], reverse=True)
     span = _chain_span(su, sv)
-    offsets = range(len(su)) if span is None else range(-span[0], span[1] + 1)
-    # (su + su)[i:i + len(su)] is su rotated i places to the left
-    uu, vv = su + su, sv + sv
-    return any(
-        uu.startswith(tu, k % len(su)) and vv.startswith(tv, k % len(sv))
-        for k in offsets
-    )
+    lo, hi = (0, len(su) - 1) if span is None else (-span[0], span[1])
+    return any((k - r2) % p2 == 0 for k in range(lo + (r - lo) % p, hi + 1, p))
 
 
 def _strip_tree(su: str, sv: str, grow_v: str, grow_u: str) -> list[str] | None:

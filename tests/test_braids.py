@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
+from itertools import product
 
 import pytest
 
 from ranktwo.braids import (
+    IMAGE_LETTER_LIMIT,
     SUITE_NAMES,
     BraidWord,
     ExtBraid,
+    _normal_form,
     acts_by_inner,
     artin_action,
     braid_equal,
@@ -160,6 +164,119 @@ def test_braid_equal():
         w = BraidWord(4, base)
         assert braid_equal(w, _scramble(rng, base, 3))
     assert not braid_equal(BraidWord(4, (1,)), _scramble(rng, (2,), 3))
+
+
+# Relators among the band generators 1..4, on top of the Artin ones.
+_RELATORS_BAND = _RELATORS_4 + (
+    (4, 1, 2, 3, -3, -3, -2, -1),
+    (2, 4, -2, -4),
+    (3, 4, 3, -4, -3, -4),
+    (4, 1, 4, -1, -4, -1),
+)
+_LETTERS_4 = (1, 2, 3, 4, -1, -2, -3, -4)
+
+
+def _oracle_equal(w1: BraidWord, w2: BraidWord) -> bool:
+    return artin_action(w1) == artin_action(w2)
+
+
+def _oracle_eq_mod_center(w1: BraidWord, w2: BraidWord) -> bool:
+    # the center is generated by delta^4, whose exponent sum is 12, so
+    # the exponent sums force the only power of it that can separate them
+    diff = w1.exponent_sum() - w2.exponent_sum()
+    return diff % 12 == 0 and _oracle_equal(w1, w2 * delta(4) ** (4 * (diff // 12)))
+
+
+@pytest.mark.parametrize(
+    "strands, max_letters, words, classes",
+    [(4, 4, 1555, 469), (3, 6, 5461, 577)],
+)
+def test_normal_form_classes_are_the_image_classes(strands, max_letters, words, classes):
+    alphabet = [l for i in range(1, strands) for l in (i, -i)]
+    by_image: dict[F2Morphism, list[tuple[int, ...]]] = {}
+    by_form: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
+    count = 0
+    for n in range(max_letters + 1):
+        for letters in product(alphabet, repeat=n):
+            w = BraidWord(strands, letters)
+            by_image.setdefault(artin_action(w), []).append(letters)
+            by_form.setdefault(_normal_form(w), []).append(letters)
+            count += 1
+    assert (count, len(by_image), len(by_form)) == (words, classes, classes)
+    assert sorted(by_image.values()) == sorted(by_form.values())
+
+
+def _seeded_pair(rng: random.Random, kind: str) -> tuple[BraidWord, BraidWord]:
+    if kind == "relation":
+        rel = list(rng.choice(_RELATORS_BAND))
+        if rng.random() < 0.5:
+            rel = [-l for l in reversed(rel)]
+        letters = [rng.choice(_LETTERS_4) for _ in range(rng.randint(0, 14 - len(rel)))]
+        pos = rng.randint(0, len(letters))
+        return BraidWord(4, letters), BraidWord(4, letters[:pos] + rel + letters[pos:])
+    letters = [rng.choice(_LETTERS_4) for _ in range(rng.randint(1, 14))]
+    if kind == "random":
+        return BraidWord(4, letters), BraidWord(4, [rng.choice(_LETTERS_4) for _ in letters])
+    other = list(letters)
+    i = rng.randrange(len(letters))
+    if kind == "flip" or len(letters) == 1:
+        other[i] = -other[i]
+    else:
+        i = min(i, len(letters) - 2)
+        other[i], other[i + 1] = other[i + 1], other[i]
+    return BraidWord(4, letters), BraidWord(4, other)
+
+
+def test_equality_agrees_with_the_image_oracle_on_seeded_pairs():
+    rng = random.Random(1969)
+    seen = {(kind, same): 0 for kind in ("relation", "flip", "swap", "random") for same in (True, False)}
+    central = 0
+    for _ in range(800):
+        kind = rng.choice(("relation", "flip", "swap", "random"))
+        w1, w2 = _seeded_pair(rng, kind)
+        same = _oracle_equal(w1, w2)
+        assert braid_equal(w1, w2) == same, (w1, w2)
+        assert braid_equal(w2, w1) == same, (w1, w2)
+        assert eq_mod_center(w1, w2) == _oracle_eq_mod_center(w1, w2), (w1, w2)
+        seen[kind, same] += 1
+        shifted = w2 * delta(4) ** (4 * rng.choice((-2, -1, 1, 2)))
+        assert not braid_equal(w1, shifted), (w1, shifted)
+        mod_center = _oracle_eq_mod_center(w1, shifted)
+        assert mod_center == same, (w1, shifted)
+        assert eq_mod_center(w1, shifted) == mod_center, (w1, shifted)
+        assert eq_mod_center(shifted, w1) == mod_center, (w1, shifted)
+        central += mod_center
+    # the sample holds equal relation pairs, equal swaps (commuting
+    # letters), and misses of every kind
+    assert seen["relation", True] >= 100 and seen["swap", True] >= 50, seen
+    assert min(seen[kind, False] for kind in ("flip", "swap", "random")) >= 50, seen
+    assert central >= 150, central
+
+
+def test_long_words_compare_without_building_images():
+    rng = random.Random(300)
+    letters = tuple(rng.choice(_LETTERS_4) for _ in range(300))
+    w = BraidWord(4, letters)
+    rewritten = _scramble(rng, letters, 20)
+    flipped = BraidWord(4, letters[:150] + (-letters[150],) + letters[151:])
+    start = time.perf_counter()
+    assert braid_equal(w, rewritten)
+    assert eq_mod_center(w, rewritten * delta(4) ** 4)
+    assert not braid_equal(w, flipped)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_image_letter_limit():
+    # 60 letters: its rank-two image would have hundreds of millions of letters
+    runaway = BraidWord(4, (1, -2, 3) * 20)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds %d letters" % IMAGE_LETTER_LIMIT):
+        f2_action(runaway)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="exceeds"):
+        artin_action(BraidWord(4, (1, -2) * 40))
+    # below the limit the action is exact
+    assert sum(len(x) for x in f2_action(BraidWord(4, (1, -2, 3) * 5)).images) < IMAGE_LETTER_LIMIT
 
 
 def test_eq_mod_center():

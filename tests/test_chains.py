@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -504,6 +505,13 @@ def test_in_same_chain():
     # infinite chains cycle; membership is still decidable
     assert in_same_chain(_w("ba"), _w("baba"), _w("ab"), _w("abab"))
     assert not in_same_chain(_w("ab"), _w("baba"), _w("ab"), _w("abab"))
+    # periodic words: only the offsets of one residue class are tried
+    su, sv = _w("a" * 100000), _w("a" * 100000 + "b")
+    tv = _w("b" + "a" * 100000)
+    start = time.perf_counter()
+    assert in_same_chain(su, tv, su, sv)
+    assert in_same_chain(su, sv, su, sv)
+    assert time.perf_counter() - start < 0.25
     with pytest.raises(NotCyclicallyReducedError):
         in_same_chain(_w("abA"), _w("b"), _w("ab"), _w("b"))
     with pytest.raises(ValueError):

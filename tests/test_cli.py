@@ -142,6 +142,9 @@ def test_braid_apply(capsys):
     assert code == 0 and out == "ba b\n"
     code, _, err = run(capsys, "braid-apply", "5")
     assert code == 2 and err.startswith("error:")
+    # an image past the letter limit is refused, with a short message
+    code, out, err = run(capsys, "braid-apply", " ".join(["1 -2 3"] * 20))
+    assert code == 2 and out == "" and err.startswith("error:") and len(err) < 100
 
 
 def test_braid_eq(capsys):
