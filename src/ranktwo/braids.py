@@ -11,7 +11,7 @@ independent oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and
 x_{i+1} to x_i, and a word acts by composing the generator actions left
 to right, the same convention as for morphisms.  Those images grow
 exponentially with the word, so every free-group image is capped at
-:data:`IMAGE_LETTER_LIMIT` letters.
+:data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters.
 
 On four strands the index 4 is accepted as surface syntax for the
 conjugate generator delta sigma_3 delta^-1; it is eliminated before any
@@ -34,7 +34,7 @@ from .morphisms import (
     generator_inverse,
     is_special_sturmian,
 )
-from .words import _GENERATORS, FreeWord
+from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord
 
 _SIGMA4_EXPANSION = (-3, -2, 1, 2, 3)
 _SIGMA4_INV_EXPANSION = (-3, -2, -1, 2, 3)
@@ -157,15 +157,6 @@ _ARTIN = {
     }
     for rank in (3, 4)
 }
-
-IMAGE_LETTER_LIMIT = 1 << 20
-"""The most letters, summed over the generator images, a built free-group image may have.
-
-Free-group images of braids grow exponentially with the word, so
-:func:`artin_action` and :func:`f2_action` raise ValueError once an
-image passes this size instead of running out of time or memory.
-"""
-
 
 def _composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
     out = F2Morphism.identity(rank)

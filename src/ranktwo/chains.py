@@ -18,6 +18,7 @@ unless u and v commute, which is exactly when the chain is infinite.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -147,17 +148,17 @@ def is_basis_positive(u: FreeWord, v: FreeWord) -> bool:
     return _basis_offset(_chain_span(su, sv), len(su) + len(sv)) is not None
 
 
+# the cyclic rotations of the commutator of the generators and of its inverse
+_BASE_COMMUTATORS = frozenset(
+    s[i:] + s[:i] for s in ("abAB", "baBA") for i in range(4)
+)
+
+
 def nielsen_dehn_oracle(u: FreeWord, v: FreeWord) -> bool:
     """Independent basis test: the commutator is conjugate to that of the generators."""
     _check_rank_two(u, v)
-    c = commutator(u, v)
-    return c.is_conjugate_to(_BASE_COMMUTATOR) or c.is_conjugate_to(
-        _BASE_COMMUTATOR_INV
-    )
-
-
-_BASE_COMMUTATOR = FreeWord("abAB")
-_BASE_COMMUTATOR_INV = FreeWord("baBA")
+    core, _ = commutator(u, v).cyclic_reduce()
+    return core.letters in _BASE_COMMUTATORS
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,39 @@ def _normalized(
     return su, sv, back, unmap
 
 
+def _conjugated_down(su: str, sv: str, trace: list[TraceStep]) -> WordPair | None:
+    """Conjugate the pair by forced letters until both words are cyclically reduced.
+
+    Appends a ("conjugate", d) step to trace per letter d and returns
+    the reduced pair, or None once the forced letter does not shorten
+    the pair.  The words are held in deques, so conjugating by d is one
+    push or pop at each end of each word.
+    """
+    u, v = deque(su), deque(sv)
+    while True:
+        if len(u) > 1 and u[0] == u[-1].swapcase():
+            d = u[-1]
+        elif len(v) > 1 and v[0] == v[-1].swapcase():
+            d = v[-1]
+        else:
+            return FreeWord._make("".join(u)), FreeWord._make("".join(v))
+        d_inv = d.swapcase()
+        before = len(u) + len(v)
+        for w in (u, v):
+            if w and w[0] == d_inv:
+                w.popleft()
+            else:
+                w.appendleft(d)
+            # the front pop can empty a one-letter word
+            if w and w[-1] == d:
+                w.pop()
+            else:
+                w.append(d_inv)
+        if len(u) + len(v) >= before:
+            return None
+        trace.append(("conjugate", d))
+
+
 def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     """Decide whether (u, v) generates the whole free group.
 
@@ -251,16 +285,16 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     cyclically reduced by its own last letter shortens it, and any
     other letter lengthens such a word, so the one candidate is the
     last letter of u when u is not cyclically reduced, else that of v.
+    A step touches only the four ends of the pair, so the conjugation
+    phase takes O(n + depth) time for n input letters and depth steps.
     """
     _check_rank_two(u, v)
     trace: list[TraceStep] = []
-    while not (u.is_cyclically_reduced and v.is_cyclically_reduced):
-        d = FreeWord._make((v if u.is_cyclically_reduced else u).letters[-1])
-        nu, nv = u.conjugated_by(d), v.conjugated_by(d)
-        if len(nu) + len(nv) >= len(u) + len(v):
+    if not (u.is_cyclically_reduced and v.is_cyclically_reduced):
+        reduced = _conjugated_down(u.letters, v.letters, trace)
+        if reduced is None:
             return BasisVerdict(False, "no conjugation shortens the pair", tuple(trace))
-        trace.append(("conjugate", d.letters))
-        u, v = nu, nv
+        u, v = reduced
     normalized = _normalized(u, v, trace)
     if isinstance(normalized, str):
         return BasisVerdict(False, normalized, tuple(trace))

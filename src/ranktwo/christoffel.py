@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .chains import NotABasisError, _quadrant_map, nielsen_dehn_oracle
-from .words import FreeWord, _shown
+from .words import IMAGE_LETTER_LIMIT, FreeWord, _shown
 
 Point = tuple[int, int]
 
@@ -26,16 +26,36 @@ def _validate_pair(p: int, q: int) -> None:
 
 
 def _lower_letters(p: int, q: int) -> str:
-    # the k-th step goes up exactly when the segment crosses a horizontal
-    # lattice line during that step
-    n = p + q
-    return "".join(
-        "b" if (k * q) // n > ((k - 1) * q) // n else "a" for k in range(1, n + 1)
-    )
+    """The lower Christoffel word of a coprime pair p, q >= 0, by partial quotients.
+
+    G: b -> ab sends the word of (p, q) to that of (p + q, q), and
+    D~: a -> ab sends it to that of (p, p + q) (Berstel, Lauve,
+    Reutenauer and Saliola, *Combinatorics on Words*, 2008).  Euclid's
+    algorithm peels whole powers G^k: b -> a^k b and D~^k: a -> a b^k
+    down to (1, 0), (0, 1) or (1, 1), and the powers are applied back
+    up, one str.replace each.
+    """
+    steps = []
+    while p > 1 or q > 1:
+        if p > q:
+            k = (p - 1) // q
+            steps.append(("b", "a" * k + "b"))
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            steps.append(("a", "a" + "b" * k))
+            q -= k * p
+    s = "a" * p + "b" * q
+    for letter, image in reversed(steps):
+        s = s.replace(letter, image)
+    return s
 
 
 def christoffel_word(p: int, q: int) -> FreeWord:
     """The lower Christoffel word of (p, q), any quadrant.
+
+    Raises ValueError past :data:`~ranktwo.words.IMAGE_LETTER_LIMIT`
+    letters, that is when |p| + |q| exceeds it.
 
     >>> str(christoffel_word(5, 2))
     'aaabaab'
@@ -43,8 +63,12 @@ def christoffel_word(p: int, q: int) -> FreeWord:
     'bAAbAAA'
     """
     _validate_pair(p, q)
+    if abs(p) + abs(q) > IMAGE_LETTER_LIMIT:
+        raise ValueError(
+            "the Christoffel word of this pair exceeds %d letters" % IMAGE_LETTER_LIMIT
+        )
     _, involution = _quadrant_map((p, q), (p, q))
-    return involution(FreeWord(_lower_letters(abs(p), abs(q))))
+    return involution(FreeWord._make(_lower_letters(abs(p), abs(q))))
 
 
 def upper_christoffel_word(p: int, q: int) -> FreeWord:

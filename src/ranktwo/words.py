@@ -15,6 +15,16 @@ _GENERATORS = "abcd"
 _ALPHABETS = {2: "abAB", 3: "abcABC", 4: "abcdABCD"}
 _LETTER_SETS = {rank: frozenset(letters) for rank, letters in _ALPHABETS.items()}
 
+IMAGE_LETTER_LIMIT = 1 << 20
+"""The most letters a word built from a short description may have.
+
+A power of a word, a Christoffel word and the free-group image of a
+braid can be far longer than what describes them, so the functions that
+build them raise ValueError past this size instead of running out of
+time or memory.  For a braid the letters are summed over the generator
+images.
+"""
+
 
 def _reduced(s: str) -> str:
     """Cancel adjacent inverse pairs until none remain."""
@@ -143,7 +153,14 @@ class FreeWord:
     def __pow__(self, n: int) -> FreeWord:
         if n < 0:
             return self.inverse() ** (-n)
-        return FreeWord._make(_reduced(self._s * n), self._rank)
+        if n == 0:
+            return FreeWord._make("", self._rank)
+        # conjugator * core^n * conjugator^-1 is reduced as written
+        core, conjugator = self.cyclic_reduce()
+        if 2 * len(conjugator) + n * len(core) > IMAGE_LETTER_LIMIT:
+            raise ValueError("this power exceeds %d letters" % IMAGE_LETTER_LIMIT)
+        c = conjugator._s
+        return FreeWord._make(c + core._s * n + _inverted(c), self._rank)
 
     def inverse(self) -> FreeWord:
         return FreeWord._make(_inverted(self._s), self._rank)

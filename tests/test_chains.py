@@ -28,7 +28,7 @@ from ranktwo.chains import (
     step_forward,
     sturmian_position,
 )
-from ranktwo.christoffel import christoffel_basis, christoffel_normal_form
+from ranktwo.christoffel import christoffel_basis, christoffel_normal_form, christoffel_word
 from ranktwo.morphisms import (
     GENERATOR_NAMES,
     eval_sturmian,
@@ -484,17 +484,54 @@ def test_conjugation_matches_reference_search():
         u0 = _random_reduced(rng, rng.randint(1, 8))
         v0 = _random_reduced(rng, rng.randint(1, 8))
         pairs.append((u0.conjugated_by(x), v0.conjugated_by(x * y)))
-    stuck_late = deep_bases = 0
+    # deep inputs: short pairs, half of them bases, with one word or both
+    # conjugated by 500-5,000 letters
+    rng = random.Random(1618)
+    for i in range(60):
+        if i % 2:
+            u0, v0 = _automorphic_image(rng)
+        else:
+            u0, v0 = _random_reduced(rng, rng.randint(1, 8)), _random_reduced(rng, rng.randint(1, 8))
+        x = _random_reduced(rng, rng.randint(500, 5000))
+        which = i % 3
+        u = u0.conjugated_by(x) if which != 1 else u0
+        v = v0.conjugated_by(x * _random_reduced(rng, rng.randint(0, 3))) if which else v0
+        pairs.append((u, v))
+    stuck_late = deep_bases = deep_stuck = deepest = 0
     for u, v in pairs:
         letters, stuck = _reference_conjugation(u, v)
         verdict = is_basis(u, v)
         steps = [step[1] for step in verdict.trace if step[0] == "conjugate"]
         assert steps == letters, (str(u), str(v))
         assert (verdict.reason == "no conjugation shortens the pair") == stuck
+        if letters and not stuck:
+            # the rest of the decision is that of the conjugated-down pair
+            x = FreeWord("".join(reversed(letters)))
+            rest = is_basis(u.conjugated_by(x), v.conjugated_by(x))
+            assert (verdict.is_basis, verdict.reason) == (rest.is_basis, rest.reason)
+            assert verdict.trace[len(letters):] == rest.trace
+            assert verdict.is_basis == nielsen_dehn_oracle(u, v)
         stuck_late += stuck and len(letters) >= 1
         deep_bases += verdict.is_basis and len(letters) >= 10
+        deep_stuck += stuck and len(letters) >= 500
+        deepest = max(deepest, len(letters) if verdict.is_basis else 0)
     # the sample reaches both ends of the loop after real work
     assert stuck_late >= 100 and deep_bases >= 10, (stuck_late, deep_bases)
+    assert deep_stuck >= 5 and deepest >= 4000, (deep_stuck, deepest)
+
+
+def test_deep_conjugation_runs_in_linear_time():
+    # a loop that rebuilds both words at every step is about 15 times slower
+    u0, v0 = christoffel_word(233, 144), christoffel_word(377, 233)
+    x = _random_reduced(random.Random(64), 64_000)
+    u, v = u0.conjugated_by(x), v0.conjugated_by(x)
+    start = time.perf_counter()
+    verdict = is_basis(u, v)
+    elapsed = time.perf_counter() - start
+    assert verdict.is_basis and verdict.reason == ""
+    assert len(verdict.trace) == 64_003
+    assert verdict.trace[-2] == ("positive-pair", u0.letters, v0.letters)
+    assert elapsed < 0.5, elapsed
 
 
 def test_in_same_chain():

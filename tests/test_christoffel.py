@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import math
+import random
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from ranktwo.christoffel import (
     verify_factorization,
     word_path,
 )
-from ranktwo.words import FreeWord
+from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord
 
 
 def _coprime_pairs(bound):
@@ -30,6 +31,38 @@ def _coprime_pairs(bound):
         for q in range(bound + 1):
             if (p, q) != (0, 0) and math.gcd(p, q) == 1:
                 yield p, q
+
+
+def _reference_lower_letters(p: int, q: int) -> str:
+    """The lower Christoffel word of a coprime pair p, q >= 0 by its floor formula.
+
+    The k-th step goes up exactly when the segment crosses a horizontal
+    lattice line during that step; kept as an oracle for the word built
+    by partial quotients.
+    """
+    n = p + q
+    return "".join(
+        "b" if (k * q) // n > ((k - 1) * q) // n else "a" for k in range(1, n + 1)
+    )
+
+
+def _in_quadrant(s: str, p: int, q: int) -> str:
+    """The word of (p, q) from that of (|p|, |q|): read backwards when
+    p < 0, with a inverted when p < 0 and b inverted when q < 0."""
+    if p < 0:
+        s = s[::-1].replace("a", "A")
+    if q < 0:
+        s = s.replace("b", "B")
+    return s
+
+
+def _random_reduced(rng: random.Random, n: int) -> FreeWord:
+    out = []
+    while len(out) < n:
+        ch = rng.choice("abAB")
+        if not out or out[-1] != ch.swapcase():
+            out.append(ch)
+    return FreeWord("".join(out))
 
 
 def test_doctests():
@@ -70,6 +103,30 @@ def test_validation():
         upper_christoffel_word(-5, 2)
     with pytest.raises(ValueError):
         upper_christoffel_word(5, -2)
+
+
+def test_word_matches_floor_formula():
+    for p, q in _coprime_pairs(150):
+        s = _reference_lower_letters(p, q)
+        for sp, sq in product((1, -1), repeat=2):
+            assert christoffel_word(sp * p, sq * q).letters == _in_quadrant(s, sp * p, sq * q)
+    rng = random.Random(100_000)
+    seen = 0
+    while seen < 12:
+        p, q = rng.randint(0, 100_000), rng.randint(0, 100_000)
+        if math.gcd(p, q) == 1:
+            seen += 1
+            assert christoffel_word(p, q).letters == _reference_lower_letters(p, q), (p, q)
+
+
+def test_letter_limit():
+    n = IMAGE_LETTER_LIMIT
+    assert christoffel_word(n - 1, 1).letters == "a" * (n - 1) + "b"
+    for p, q in ((n, 1), (1, -n), (-n, -1), (10**10, 1)):
+        with pytest.raises(ValueError, match="exceeds %d letters" % n):
+            christoffel_word(p, q)
+    with pytest.raises(ValueError, match="exceeds"):
+        upper_christoffel_word(10**10, 1)
 
 
 def test_upper_is_reversed_lower():
@@ -205,6 +262,30 @@ def test_normal_form_conjugation_invariant():
     # the normal form of a Christoffel pair is itself
     nu, nv = base
     assert christoffel_normal_form(nu, nv) == base
+
+
+def test_normal_form_invariant_under_long_conjugation():
+    rng = random.Random(10_000)
+    cases = [
+        (FreeWord("abaab"), FreeWord("aba")),
+        (FreeWord("aabA"), FreeWord("abA")),
+        christoffel_basis((-3, 4), (-1, 1)),
+        christoffel_basis((5, -2), (-2, 1)),
+        christoffel_basis((-21, -13), (-8, -5)),
+        christoffel_basis((233, 144), (377, 233)),
+    ]
+    for u, v in cases:
+        base = christoffel_normal_form(u, v)
+        for _ in range(3):
+            x = _random_reduced(rng, rng.randint(10_000, 20_000))
+            assert christoffel_normal_form(u.conjugated_by(x), v.conjugated_by(x)) == base
+            # conjugating one word alone leaves no basis
+            with pytest.raises(NotABasisError):
+                christoffel_normal_form(u.conjugated_by(x), v)
+    u, v = FreeWord("ab"), FreeWord("ba")
+    x = _random_reduced(rng, 10_000)
+    with pytest.raises(NotABasisError):
+        christoffel_normal_form(u.conjugated_by(x), v.conjugated_by(x))
 
 
 def test_is_primitive():

@@ -52,6 +52,9 @@ def test_christoffel_rejects_bad_pair(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    # a word past the letter limit is refused before it is built
+    code, out, err = run(capsys, "christoffel", "10000000000", "1")
+    assert code == 2 and out == "" and err.startswith("error:") and len(err) < 100
 
 
 def test_basis_test(capsys):

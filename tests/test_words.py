@@ -9,7 +9,7 @@ import random
 import pytest
 
 import ranktwo.words
-from ranktwo.words import FreeWord, commutator
+from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, commutator
 
 
 def words_up_to(max_len: int) -> list[FreeWord]:
@@ -237,6 +237,24 @@ def test_powers():
     assert w ** 3 == FreeWord("ababab")
     assert w ** -2 == (w.inverse()) ** 2
     assert FreeWord("aBa") ** 2 == FreeWord("aBaaBa")
+    for w in words_up_to(4):
+        product = FreeWord("")
+        for n in range(5):
+            assert w ** n == product and w ** -n == product.inverse(), (str(w), n)
+            product = product * w
+
+
+def test_power_letter_limit():
+    n = IMAGE_LETTER_LIMIT
+    # conjugator a, core B: a power of k letters has k + 2 letters
+    w = FreeWord("aBA")
+    assert len(w ** (n - 2)) == n
+    with pytest.raises(ValueError, match="exceeds %d letters" % n):
+        w ** (n - 1)
+    for k in (10**10, -(10**10)):
+        with pytest.raises(ValueError, match="exceeds %d letters" % n):
+            FreeWord("ab") ** k
+    assert FreeWord("") ** 10**10 == FreeWord("")
 
 
 def test_commutator():
