@@ -389,7 +389,7 @@ def from_aut_generator(name: str) -> ExtBraid:
     if name == "E":
         return ExtBraid.mirror()
     if name == "Dt":
-        return ExtBraid(BraidWord(4, (-4,)), 0)
+        return ExtBraid(BraidWord(4, (_EMBED[name],)), 0)
     if name == "O":
         return ExtBraid.mirror() * ExtBraid(delta(), 0)
     raise ValueError("no braid lift is defined for %r; expected E, Dt or O" % (name,))

@@ -18,12 +18,11 @@ unless u and v commute, which is exactly when the chain is infinite.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from .morphisms import SturmianWord, generator
-from .words import FreeWord, _shown, commutator
+from .words import FreeWord, _common_prefix, _inverted, _shown, commutator
 
 _T = generator("T")
 
@@ -66,8 +65,13 @@ def _check_cyclically_reduced(u: FreeWord, v: FreeWord) -> None:
 
 def _rotation(su: str, sv: str, k: int) -> WordPair:
     """Both words rotated k places to the left, or -k to the right."""
-    i, j = k % len(su), k % len(sv)
-    return FreeWord._make(su[i:] + su[:i]), FreeWord._make(sv[j:] + sv[:j])
+    return FreeWord._make(_rotated(su, k)), FreeWord._make(_rotated(sv, k))
+
+
+def _rotated(s: str, k: int) -> str:
+    """s rotated k places to the left, or -k to the right."""
+    k %= len(s) or 1
+    return s[k:] + s[:k]
 
 
 def step_forward(u: FreeWord, v: FreeWord) -> WordPair | None:
@@ -110,16 +114,12 @@ def _chain_span(su: str, sv: str) -> tuple[int, int] | None:
     and the chain is infinite.  Otherwise, by Fine and Wilf, neither
     run of agreeing letters reaches len(su) + len(sv) - 1.
     """
-    if su + sv == sv + su:
+    uv, vu = su + sv, sv + su
+    if uv == vu:
         return None
-    m, n = len(su), len(sv)
-    back = 0
-    while su[~back % m] == sv[~back % n]:
-        back += 1
-    forward = 0
-    while su[forward % m] == sv[forward % n]:
-        forward += 1
-    return back, forward
+    # u^inf and v^inf agree on exactly the common prefix of uv and vu,
+    # and their left-infinite powers on the common suffix
+    return _common_prefix(uv[::-1], vu[::-1]), _common_prefix(uv, vu)
 
 
 def maximal_chain(u: FreeWord, v: FreeWord) -> MaximalChain:
@@ -239,37 +239,48 @@ def _normalized(
     return su, sv, back, unmap
 
 
-def _conjugated_down(su: str, sv: str, trace: list[TraceStep]) -> WordPair | None:
+_STEPS = {d: ("conjugate", d) for d in "abAB"}
+
+
+def _conjugated_along(x: str, w: str) -> tuple[int, str]:
+    """Conjugate w by the inverse of each letter of x while that does not lengthen w.
+
+    Returns how many letters of x are used and w after them.  w loses
+    a letter at each end while it starts with x and ends with x^-1,
+    then rotates one way while x runs along the periodic extension of
+    w or of w^-1; an empty w stays empty.
+    """
+    c = min(_common_prefix(x, w), _common_prefix(x, _inverted(w)))
+    w = w[c : len(w) - c]
+    if not w:
+        return len(x), w
+    rest = x[c:]
+    reps = len(rest) // len(w) + 1
+    left = _common_prefix(rest, w * reps)
+    right = _common_prefix(rest, _inverted(w) * reps)
+    return (c + left, _rotated(w, left)) if left >= right else (c + right, _rotated(w, -right))
+
+
+def _conjugated_down(u: FreeWord, v: FreeWord, trace: list[TraceStep]) -> WordPair | None:
     """Conjugate the pair by forced letters until both words are cyclically reduced.
 
     Appends a ("conjugate", d) step to trace per letter d and returns
     the reduced pair, or None once the forced letter does not shorten
-    the pair.  The words are held in deques, so conjugating by d is one
-    push or pop at each end of each word.
+    the pair.  With u = x core x^-1 the letters are those of x
+    inverted, while v follows; then those of v's new conjugator
+    inverted, while the core of u rotates.
     """
-    u, v = deque(su), deque(sv)
-    while True:
-        if len(u) > 1 and u[0] == u[-1].swapcase():
-            d = u[-1]
-        elif len(v) > 1 and v[0] == v[-1].swapcase():
-            d = v[-1]
-        else:
-            return FreeWord._make("".join(u)), FreeWord._make("".join(v))
-        d_inv = d.swapcase()
-        before = len(u) + len(v)
-        for w in (u, v):
-            if w and w[0] == d_inv:
-                w.popleft()
-            else:
-                w.appendleft(d)
-            # the front pop can empty a one-letter word
-            if w and w[-1] == d:
-                w.pop()
-            else:
-                w.append(d_inv)
-        if len(u) + len(v) >= before:
-            return None
-        trace.append(("conjugate", d))
+    core, x = u.cyclic_reduce()
+    run, sv = _conjugated_along(x.letters, v.letters)
+    trace.extend(map(_STEPS.__getitem__, x.letters[:run].swapcase()))
+    if run < len(x):
+        return None
+    core_v, y = FreeWord._make(sv).cyclic_reduce()
+    run, su = _conjugated_along(y.letters, core.letters)
+    trace.extend(map(_STEPS.__getitem__, y.letters[:run].swapcase()))
+    if run < len(y):
+        return None
+    return FreeWord._make(su), core_v
 
 
 def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
@@ -285,13 +296,13 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     cyclically reduced by its own last letter shortens it, and any
     other letter lengthens such a word, so the one candidate is the
     last letter of u when u is not cyclically reduced, else that of v.
-    A step touches only the four ends of the pair, so the conjugation
-    phase takes O(n + depth) time for n input letters and depth steps.
+    The letters are read off common-prefix lengths, so the conjugation
+    phase takes O(n) time for n input letters, most of it in C.
     """
     _check_rank_two(u, v)
     trace: list[TraceStep] = []
     if not (u.is_cyclically_reduced and v.is_cyclically_reduced):
-        reduced = _conjugated_down(u.letters, v.letters, trace)
+        reduced = _conjugated_down(u, v, trace)
         if reduced is None:
             return BasisVerdict(False, "no conjugation shortens the pair", tuple(trace))
         u, v = reduced

@@ -25,8 +25,21 @@ morphism by composing left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .words import _GENERATORS, FreeWord, _check_same_rank, _inverted, _reduced
+
+
+def _power(x, n: int, out):
+    """out * x^n for n >= 0, by repeated squaring."""
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,10 +68,7 @@ class Mat2:
     def __pow__(self, n: int) -> Mat2:
         if n < 0:
             return self.inverse() ** (-n)
-        out = Mat2.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, Mat2.identity())
 
     @property
     def det(self) -> int:
@@ -146,10 +156,7 @@ class F2Morphism:
     def __pow__(self, n: int) -> F2Morphism:
         if n < 0:
             raise ValueError("no general inverse; compose generator inverses instead")
-        out = F2Morphism.identity(len(self._images))
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, F2Morphism.identity(len(self._images)))
 
     def matrix(self) -> Mat2:
         """The induced matrix on Z^2 (rank 2 only); columns are the abelianized images of a and b."""
@@ -272,8 +279,9 @@ def is_special_sturmian(word: SturmianWord) -> bool:
 
 
 def eval_sturmian(word: SturmianWord) -> F2Morphism:
-    """Compose the named generators left to right."""
+    """Compose the named generators left to right, each run of one token as a power."""
     out = F2Morphism.identity()
-    for name, exp in word:
-        out = out * (generator(name) if exp == 1 else generator_inverse(name))
+    for name, run in groupby(word, key=itemgetter(0)):
+        k = sum(exp for _, exp in run)
+        out = out * (generator(name) if k > 0 else generator_inverse(name)) ** abs(k)
     return out

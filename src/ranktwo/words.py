@@ -9,6 +9,7 @@ returns a fresh reduced word, so they are safe to share freely.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 _GENERATORS = "abcd"
@@ -26,26 +27,83 @@ images.
 """
 
 
-def _reduced(s: str) -> str:
-    """Cancel adjacent inverse pairs until none remain."""
-    out: list[str] = []
-    for ch in s:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
+def _common_prefix(s: str, t: str) -> int:
+    """The number of leading letters s and t share.
+
+    A few letters are compared one at a time, then blocks of doubling
+    size, and the block that differs is bisected: O(k) work in C and
+    O(log k) interpreted steps for k shared letters.
+    """
+    n = min(len(s), len(t))
+    k = 0
+    while k < n and k < 8:
+        if s[k] != t[k]:
+            return k
+        k += 1
+    step = 8
+    while True:
+        end = min(k + step, n)
+        if s[k:end] != t[k:end]:
+            break
+        if end == n:
+            return n
+        k = end
+        step *= 2
+    # s[k:end] and t[k:end] differ; bisect down to the first letter that does
+    while end - k > 1:
+        mid = (k + end) // 2
+        if s[k:mid] == t[k:mid]:
+            k = mid
         else:
-            out.append(ch)
-    return "".join(out)
+            end = mid
+    return k
+
+
+_CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb|cC|Cc|dD|Dd")
+# zero-width, so that overlapping pairs such as the two in "aAa" are all found
+_SEAM = re.compile("(?=%s)" % _CANCELLING_PAIR.pattern)
+
+
+def _reduced(s: str) -> str:
+    """Cancel adjacent inverse pairs until none remain.
+
+    One substitution removes the innermost pairs.  The pairs left over
+    cut the word into reduced runs, and each seam between runs cancels
+    as far as the runs agree, so the work is linear in len(s).
+    """
+    if not _CANCELLING_PAIR.search(s):
+        return s
+    s = _CANCELLING_PAIR.sub("", s)
+    if not _CANCELLING_PAIR.search(s):
+        return s
+    cuts = [m.start() + 1 for m in _SEAM.finditer(s)]
+    # [run, used]: the first `used` letters of each run survive so far,
+    # and no two neighbouring entries cancel
+    stack: list[list] = []
+    for i, j in zip([0] + cuts, cuts + [len(s)]):
+        run = s[i:j]
+        start = 0
+        while stack and start < len(run):
+            top = stack[-1]
+            prev, used = top
+            m = min(used, len(run) - start)
+            k = _common_prefix(_inverted(prev[used - m : used]), run[start : start + m])
+            start += k
+            if k < used:
+                top[1] = used - k
+                break
+            stack.pop()
+        if start < len(run):
+            stack.append([run[start:], len(run) - start])
+    return "".join([run[:used] for run, used in stack])
 
 
 def _joined(u: str, v: str) -> str:
     # both operands are already reduced, so cancellation is confined to the seam
-    k = 0
-    m = min(len(u), len(v))
-    while k < m and u[-1 - k] == v[k].swapcase():
-        k += 1
-    if k:
-        return u[: len(u) - k] + v[k:]
-    return u + v
+    if not (u and v) or u[-1] != v[0].swapcase():
+        return u + v
+    k = _common_prefix(_inverted(u[-len(v) :]), v)
+    return u[: len(u) - k] + v[k:]
 
 
 def _inverted(s: str) -> str:
@@ -189,11 +247,10 @@ class FreeWord:
         (FreeWord('b'), FreeWord('a'))
         """
         s = self._s
-        i, j = 0, len(s)
-        while j - i >= 2 and s[i] == s[j - 1].swapcase():
-            i += 1
-            j -= 1
-        return FreeWord._make(s[i:j], self._rank), FreeWord._make(s[:i], self._rank)
+        if self.is_cyclically_reduced:
+            return self, FreeWord._make("", self._rank)
+        i = min(_common_prefix(s, _inverted(s)), (len(s) - 1) // 2)
+        return FreeWord._make(s[i : len(s) - i], self._rank), FreeWord._make(s[:i], self._rank)
 
     @property
     def is_cyclically_reduced(self) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 import pytest
@@ -16,6 +16,7 @@ from ranktwo.chains import (
     NotABasisError,
     NotCyclicallyReducedError,
     NotStandardPairError,
+    _conjugated_down,
     conjugate_bases,
     in_same_chain,
     is_basis,
@@ -103,6 +104,40 @@ def _reference_conjugation(u: FreeWord, v: FreeWord) -> tuple[list[str], bool]:
         else:
             return letters, True
     return letters, False
+
+
+def _reference_conjugated_down(su: str, sv: str) -> tuple[tuple[FreeWord, FreeWord] | None, list]:
+    """The forced conjugation of the basis decision one letter at a time.
+
+    The words are held in deques, so conjugating by d is one push or
+    pop at each end of each word; kept as an oracle for the closed form
+    in is_basis.  Returns the reduced pair, or None once the forced
+    letter does not shorten the pair, and the ("conjugate", d) steps.
+    """
+    u, v = deque(su), deque(sv)
+    trace = []
+    while True:
+        if len(u) > 1 and u[0] == u[-1].swapcase():
+            d = u[-1]
+        elif len(v) > 1 and v[0] == v[-1].swapcase():
+            d = v[-1]
+        else:
+            return (_w("".join(u)), _w("".join(v))), trace
+        d_inv = d.swapcase()
+        before = len(u) + len(v)
+        for w in (u, v):
+            if w and w[0] == d_inv:
+                w.popleft()
+            else:
+                w.appendleft(d)
+            # the front pop can empty a one-letter word
+            if w and w[-1] == d:
+                w.pop()
+            else:
+                w.append(d_inv)
+        if len(u) + len(v) >= before:
+            return None, trace
+        trace.append(("conjugate", d))
 
 
 def _random_reduced(rng: random.Random, n: int) -> FreeWord:
@@ -499,6 +534,10 @@ def test_conjugation_matches_reference_search():
         pairs.append((u, v))
     stuck_late = deep_bases = deep_stuck = deepest = 0
     for u, v in pairs:
+        trace = []
+        assert (_conjugated_down(u, v, trace), trace) == _reference_conjugated_down(
+            u.letters, v.letters
+        ), (str(u), str(v))
         letters, stuck = _reference_conjugation(u, v)
         verdict = is_basis(u, v)
         steps = [step[1] for step in verdict.trace if step[0] == "conjugate"]

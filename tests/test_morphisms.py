@@ -146,6 +146,13 @@ def test_identity_and_powers():
     assert G ** 3 == G * G * G
     with pytest.raises(ValueError):
         G ** -1
+    # powers are taken by repeated squaring
+    phi = G * generator_inverse("D") * generator("E")
+    m = Mat2(2, 1, 1, 1)
+    product, matrix = ident, Mat2.identity()
+    for n in range(12):
+        assert phi ** n == product and m ** n == matrix and m ** -n == matrix.inverse()
+        product, matrix = product * phi, matrix * m
 
 
 def test_matrix_convention():
@@ -236,6 +243,26 @@ def test_eval_sturmian():
     assert eval_sturmian(parse_sturmian("G D' Gt E")) == generator("T")
     phi = eval_sturmian(parse_sturmian("G D' Gt"))
     assert str(phi(FreeWord("b"))) == "a"
+
+
+def _reference_eval_sturmian(word) -> F2Morphism:
+    """Composition one token at a time; kept as an oracle for the runs
+    that eval_sturmian composes as powers."""
+    out = F2Morphism.identity()
+    for name, exp in word:
+        out = out * (generator(name) if exp == 1 else generator_inverse(name))
+    return out
+
+
+def test_eval_sturmian_matches_token_by_token_composition():
+    rng = random.Random(5151)
+    for _ in range(3000):
+        word = tuple(
+            (rng.choice(GENERATOR_NAMES), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))
+        )
+        # repeat tokens so that runs, and runs that cancel, are common
+        word = tuple(token for token in word for _ in range(rng.choice((1, 1, 2, 5))))
+        assert eval_sturmian(word) == _reference_eval_sturmian(word), word
 
 
 def test_sturmian_inverse():

@@ -5,11 +5,12 @@ from __future__ import annotations
 import doctest
 import itertools
 import random
+import time
 
 import pytest
 
 import ranktwo.words
-from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, commutator
+from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _reduced, commutator
 
 
 def words_up_to(max_len: int) -> list[FreeWord]:
@@ -71,6 +72,60 @@ def test_multiply_group_axioms_small():
     for _ in range(300):
         u, v, w = (rng.choice(words) for _ in range(3))
         assert (u * v) * w == u * (v * w)
+
+
+def _reference_reduced(s: str) -> str:
+    """Free reduction with a stack, one letter at a time; kept as an
+    oracle for the run fold in _reduced."""
+    out: list[str] = []
+    for ch in s:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_reduction_matches_reference_stack():
+    for n in range(9):
+        for letters in itertools.product("abAB", repeat=n):
+            s = "".join(letters)
+            assert _reduced(s) == _reference_reduced(s), s
+    rng = random.Random(4242)
+    for alphabet in ("abAB", "abcABC", "abcdABCD", "aA", "abBA"):
+        for _ in range(2000):
+            s = "".join(rng.choices(alphabet, k=rng.randint(0, 200)))
+            assert _reduced(s) == _reference_reduced(s), s
+
+
+def test_common_prefix_matches_letter_loop():
+    rng = random.Random(99)
+    for _ in range(5000):
+        base = "".join(rng.choices("ab", k=40))
+        s, t = base[: rng.randint(0, 40)], base[: rng.randint(0, 40)]
+        if t and rng.random() < 0.5:
+            i = rng.randrange(len(t))
+            t = t[:i] + "c" + t[i + 1 :]
+        k = 0
+        while k < min(len(s), len(t)) and s[k] == t[k]:
+            k += 1
+        assert _common_prefix(s, t) == k == _common_prefix(t, s), (s, t)
+
+
+@pytest.mark.parametrize("name", ["a^n A^n", "(abBA)^n", "(ab)^n (BA)^n", "random"])
+def test_reduction_is_linear_on_adversarial_words(name):
+    n = 10**6
+    s = {
+        "a^n A^n": "a" * (n // 2) + "A" * (n // 2),
+        "(abBA)^n": "abBA" * (n // 4),
+        "(ab)^n (BA)^n": "ab" * (n // 4) + "BA" * (n // 4),
+        "random": "".join(random.Random(5).choices("abAB", k=n)),
+    }[name]
+    start = time.perf_counter()
+    reduced = _reduced(s)
+    # linear takes well under a second; a quadratic fold would take hours
+    assert time.perf_counter() - start < 10
+    assert reduced == _reference_reduced(s)
 
 
 def test_no_adjacent_inverse_pair_survives():
