@@ -5,12 +5,20 @@ inverses.  Equality of braids is decided by the Garside left normal
 form Delta^p A1 ... Ar, whose factors are permutation braids (Garside
 1969; Thurston in Epstein et al., *Word Processing in Groups*, ch. 9):
 two words are equal exactly when their normal forms are, and the form
-costs O(L^2) table lookups in the word length L.  The faithful action
-on a free group of the same rank, :func:`artin_action`, stays as an
-independent oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and
-x_{i+1} to x_i, and a word acts by composing the generator actions left
-to right, the same convention as for morphisms.  Those images grow
-exponentially with the word, so every free-group image is capped at
+costs O(L^2) table lookups in the word length L.  Since
+Delta^-1 a Delta = tau(a) for an involution tau that commutes with
+products, meets and complements, the factors are kept as tau^p of
+themselves while p counts the negative letters, so a negative letter
+costs no more than a positive one, and one tau pass at the end undoes
+an odd p.  The faithful action on a free group of the same rank,
+:func:`artin_action`, stays as an independent oracle: generator i sends
+x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a word acts by
+composing the generator actions left to right, the same convention as
+for morphisms.  Each letter rebuilds only the images its generator
+moves, as a product of at most three old images, which cancel only at
+their seams: a letter costs O(seam) interpreted steps plus the C
+copying of the images it moves.  Those images grow exponentially with
+the word, so every free-group image is capped at
 :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters.
 
 On four strands the index 4 is accepted as surface syntax for the
@@ -23,6 +31,7 @@ normal form (braid, flag) for braid * w^flag.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import permutations
 from typing import Iterable
 
@@ -34,7 +43,7 @@ from .morphisms import (
     generator_inverse,
     is_special_sturmian,
 )
-from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord
+from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _inverted, _product
 
 _SIGMA4_EXPANSION = (-3, -2, 1, 2, 3)
 _SIGMA4_INV_EXPANSION = (-3, -2, -1, 2, 3)
@@ -55,13 +64,21 @@ class BraidWord:
         letters = tuple(letters)
         top = 4 if strands == 4 else 2
         for l in letters:
-            if not isinstance(l, int) or l == 0 or abs(l) > top:
+            if not isinstance(l, int) or isinstance(l, bool) or l == 0 or abs(l) > top:
                 raise ValueError(
                     "braid letters on %d strands are nonzero integers with absolute value at most %d"
                     % (strands, top)
                 )
         self._strands = strands
         self._letters = letters
+
+    @classmethod
+    def _make(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
+        # trusted constructor, the letters must already be valid on `strands` strands
+        w = object.__new__(cls)
+        w._strands = strands
+        w._letters = letters
+        return w
 
     @classmethod
     def parse(cls, text: str, strands: int = 4) -> BraidWord:
@@ -126,7 +143,7 @@ class BraidWord:
                 out.extend(_SIGMA4_INV_EXPANSION)
             else:
                 out.append(l)
-        return BraidWord(4, out)
+        return BraidWord._make(4, tuple(out))
 
     def exponent_sum(self) -> int:
         """Image under the abelianization to Z; the expansion of 4 counts 1."""
@@ -158,20 +175,52 @@ _ARTIN = {
     for rank in (3, 4)
 }
 
-def _composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
-    out = F2Morphism.identity(rank)
+
+def _seam_rules(table: dict[int, F2Morphism]) -> dict[int, tuple]:
+    """For each letter, the images its morphism moves and how to rebuild them.
+
+    Composing phi with the letter's morphism g sends generator i to
+    phi(g(x_i)), the product of phi's images of the letters of g(x_i)
+    (inverted for capitals).  A rule lists (i, ((j, inverted), ...)) for
+    each i with g(x_i) != x_i.
+    """
+    return {
+        letter: tuple(
+            (i, tuple((_GENERATORS.index(c.lower()), c.isupper()) for c in img.letters))
+            for i, img in enumerate(g.images)
+            if img.letters != _GENERATORS[i]
+        )
+        for letter, g in table.items()
+    }
+
+
+def _composed(rank: int, rules: dict[int, tuple], letters: tuple[int, ...]) -> F2Morphism:
+    """The morphism of the letters composed left to right, by their seam rules.
+
+    The images stay strings between letters, and each letter rebuilds
+    only the images it moves as the product of at most three old ones.
+    """
+    images = list(_GENERATORS[:rank])
     for letter in letters:
-        out = out * table[letter]
-        if sum(len(w) for w in out.images) > IMAGE_LETTER_LIMIT:
+        moved = [
+            (i, _product([_inverted(images[j]) if inverted else images[j] for j, inverted in pieces]))
+            for i, pieces in rules[letter]
+        ]
+        for i, image in moved:
+            images[i] = image
+        if sum(map(len, images)) > IMAGE_LETTER_LIMIT:
             raise ValueError(
                 "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
             )
-    return out
+    return F2Morphism._make(tuple(FreeWord._make(s, rank) for s in images))
+
+
+_ARTIN_RULES = {rank: _seam_rules(table) for rank, table in _ARTIN.items()}
 
 
 def artin_action(w: BraidWord) -> F2Morphism:
     """The action of the braid on the free group of rank `strands`."""
-    return _composed(w.strands, _ARTIN[w.strands], w.expand().letters)
+    return _composed(w.strands, _ARTIN_RULES[w.strands], w.expand().letters)
 
 
 def _inversions(perm: tuple[int, ...]) -> int:
@@ -225,13 +274,14 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     size, mul, inv, comp, tau, meet, letters = _GARSIDE[w.strands]
     identity = size - 1
     p = 0
+    # A1 ... Ar Delta^-1 = Delta^-1 tau(A1) ... tau(Ar), and tau commutes
+    # with products, meets and complements, so the factors are kept as
+    # tau^p of themselves and a negative letter only moves p
     factors: list[int] = []
     for letter in w.expand().letters:
         if letter < 0:
-            # A1 ... Ar Delta^-1 = Delta^-1 tau(A1) ... tau(Ar)
             p -= 1
-            factors = [tau[a] for a in factors]
-        factors.append(letters[letter])
+        factors.append(tau[letters[letter]] if p & 1 else letters[letter])
         k = len(factors) - 1
         while k:
             a, b = factors[k - 1], factors[k]
@@ -242,6 +292,8 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
             k -= 1
         while factors and factors[-1] == identity:
             factors.pop()
+    if p & 1:
+        factors = [tau[a] for a in factors]
     lead = 0
     while lead < len(factors) and factors[lead] == 0:
         lead += 1
@@ -331,13 +383,14 @@ _F2_ACTION = {
     3: generator("Gt"),
     -3: generator_inverse("Gt"),
 }
+_F2_ACTION_RULES = _seam_rules(_F2_ACTION)
 
 
 def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt."""
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    return _composed(2, _F2_ACTION, w.expand().letters)
+    return _composed(2, _F2_ACTION_RULES, w.expand().letters)
 
 
 def f2_action_ext(e: ExtBraid) -> F2Morphism:
@@ -348,15 +401,16 @@ def f2_action_ext(e: ExtBraid) -> F2Morphism:
     return out
 
 
-_GL2 = {letter: phi.matrix() for letter, phi in _F2_ACTION.items()}
+_GL2 = {letter: astuple(phi.matrix()) for letter, phi in _F2_ACTION.items()}
 
 
 def gl2_image(w: BraidWord) -> Mat2:
     """The induced matrix on Z^2 (odd indices to the R shear, even to the inverse L shear)."""
-    out = Mat2.identity()
+    a, b, c, d = 1, 0, 0, 1
     for letter in w.expand().letters:
-        out = out * _GL2[letter]
-    return out
+        e, f, g, h = _GL2[letter]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return Mat2(a, b, c, d)
 
 
 _TO_B3 = {1: 1, -1: -1, 2: 2, -2: -2, 3: 1, -3: -1}
@@ -600,15 +654,29 @@ _POWER_SUITES = {
 
 SUITE_NAMES = tuple(sorted([*_SUITES, *_POWER_SUITES]))
 
+KMAX_LIMIT = 256
+"""The largest exponent :func:`relation_suite` accepts.
+
+The power suites build G^k with no letter limit, and eq2.3-2.4 costs
+on the order of kmax^3 table lookups, so a larger kmax raises
+ValueError instead of running for minutes.
+"""
+
 
 def relation_suite(name: str, kmax: int = 8) -> list[tuple[str, bool]]:
-    """Run one named identity suite; each entry is (label, holds)."""
+    """Run one named identity suite; each entry is (label, holds).
+
+    kmax, the largest exponent the power suites try, runs from 0 to
+    :data:`KMAX_LIMIT`.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(
             "unknown suite %r; available: %s" % (name, ", ".join(SUITE_NAMES))
         )
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if kmax > KMAX_LIMIT:
+        raise ValueError("kmax must be at most %d" % KMAX_LIMIT)
     if name in _POWER_SUITES:
         return _POWER_SUITES[name](kmax)
     return _SUITES[name]()

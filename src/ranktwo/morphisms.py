@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .words import _GENERATORS, FreeWord, _check_same_rank, _inverted, _reduced
+from .words import _GENERATORS, FreeWord, _check_same_rank, _inverted, _product, _reduced
 
 
 def _power(x, n: int, out):
@@ -83,6 +83,9 @@ class Mat2:
         raise ValueError("matrix is not invertible over the integers")
 
 
+# the mean image length from which F2Morphism._apply folds images at their seams
+_FOLD_MEAN_LETTERS = 8
+
 # Stern-Brocot shears: the abelianized images of the G-type and D-type
 # generators respectively.
 SHEAR_R = Mat2(1, 1, 0, 1)
@@ -130,6 +133,13 @@ class F2Morphism:
     def __hash__(self) -> int:
         return hash(self._images)
 
+    @classmethod
+    def _make(cls, images: tuple[FreeWord, ...]) -> F2Morphism:
+        # trusted constructor, the images must already share a rank of 2, 3 or 4
+        phi = object.__new__(cls)
+        phi._images = images
+        return phi
+
     def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
         # one letter -> image table for all the words, inverting only images they use
         rank = len(self._images)
@@ -139,10 +149,15 @@ class F2Morphism:
             table[gen] = img._s
             if gen.upper() in occurring:
                 table[gen.upper()] = _inverted(img._s)
+        # Long images cancel only at their seams, so folding them costs a
+        # few interpreted steps per letter of w; short ones are cheaper
+        # joined in C and reduced by the regex passes.
+        fold = sum(len(img) for img in self._images) >= _FOLD_MEAN_LETTERS * rank
         out = []
         for w in words:
             _check_same_rank(w._rank, rank)
-            out.append(FreeWord._make(_reduced("".join(map(table.__getitem__, w._s))), rank))
+            pieces = map(table.__getitem__, w._s)
+            out.append(FreeWord._make(_product(pieces) if fold else _reduced("".join(pieces)), rank))
         return tuple(out)
 
     def __call__(self, w: FreeWord) -> FreeWord:
@@ -151,7 +166,7 @@ class F2Morphism:
     def __mul__(self, other: F2Morphism) -> F2Morphism:
         if not isinstance(other, F2Morphism):
             return NotImplemented
-        return F2Morphism(*self._apply(other._images))
+        return F2Morphism._make(self._apply(other._images))
 
     def __pow__(self, n: int) -> F2Morphism:
         if n < 0:

@@ -9,7 +9,11 @@ from itertools import product
 import pytest
 
 from ranktwo.braids import (
+    _ARTIN,
+    _F2_ACTION,
+    _GARSIDE,
     IMAGE_LETTER_LIMIT,
+    KMAX_LIMIT,
     SUITE_NAMES,
     BraidWord,
     ExtBraid,
@@ -71,6 +75,9 @@ def test_validation():
         BraidWord(4, (5,))
     with pytest.raises(ValueError):
         BraidWord(3, (3,))
+    # True == 1, but it would print as "True", which parse cannot read back
+    with pytest.raises(ValueError, match="nonzero integers"):
+        BraidWord(4, (True, 2))
     BraidWord(3, (1, 2, -1))
     BraidWord(4, (4, -4))
 
@@ -134,6 +141,69 @@ def test_artin_action_on_generators():
     assert psi(b) == b.inverse() * a * b
 
 
+def _reference_composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
+    """The generator morphisms composed one product at a time; kept as an
+    oracle for the string composition by seam rules in _composed."""
+    out = F2Morphism.identity(rank)
+    for letter in letters:
+        out = out * table[letter]
+        if sum(len(w) for w in out.images) > IMAGE_LETTER_LIMIT:
+            raise ValueError(
+                "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "strands, alphabet, max_letters",
+    [(3, (1, 2, -1, -2), 5), (4, (1, 2, 3, -1, -2, -3), 5), (4, (4, -4, 1, -2), 4)],
+)
+def test_actions_match_the_product_by_product_composition(strands, alphabet, max_letters):
+    for n in range(max_letters + 1):
+        for letters in product(alphabet, repeat=n):
+            w = BraidWord(strands, letters)
+            expanded = w.expand().letters
+            assert artin_action(w) == _reference_composed(strands, _ARTIN[strands], expanded), letters
+            if strands == 4:
+                assert f2_action(w) == _reference_composed(2, _F2_ACTION, expanded), letters
+
+
+def test_actions_pass_the_letter_limit_at_the_reference_letter():
+    rng = random.Random(2020)
+    actions = [(artin_action, 4, _ARTIN[4]), (f2_action, 2, _F2_ACTION)]
+    for act, rank, table in actions * 3:
+        # random words pass the limit after about 80 to 200 letters
+        letters = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(400))
+        below = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 45)))
+        for sample in (below, letters):
+            try:
+                expected = _reference_composed(rank, table, sample)
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                got = act(BraidWord(4, sample))
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, sample
+        assert got == "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
+        # raising is monotone in the prefix, so bisect for the first letter
+        # that passes the limit, then ask the reference about it and the one before
+        lo, hi = 0, len(letters)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                act(BraidWord(4, letters[:mid]))
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert hi > 1
+        with pytest.raises(ValueError, match="image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT):
+            _reference_composed(rank, table, letters[:hi])
+        phi = act(BraidWord(4, letters[: hi - 1]))
+        assert phi == _reference_composed(rank, table, letters[: hi - 1])
+        assert sum(len(x) for x in phi.images) > IMAGE_LETTER_LIMIT // 4
+
+
 def test_artin_action_is_homomorphism():
     rng = random.Random(314)
     for _ in range(100):
@@ -176,6 +246,47 @@ _RELATORS_BAND = _RELATORS_4 + (
 _LETTERS_4 = (1, 2, 3, 4, -1, -2, -3, -4)
 
 
+def _reference_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """The left normal form rewriting every factor by tau at each negative
+    letter; kept as an oracle for the parity frame in _normal_form."""
+    size, mul, inv, comp, tau, meet, letters = _GARSIDE[w.strands]
+    identity = size - 1
+    p = 0
+    factors: list[int] = []
+    for letter in w.expand().letters:
+        if letter < 0:
+            p -= 1
+            factors = [tau[a] for a in factors]
+        factors.append(letters[letter])
+        k = len(factors) - 1
+        while k:
+            a, b = factors[k - 1], factors[k]
+            m = meet[comp[a] * size + b]
+            if m == identity:
+                break
+            factors[k - 1], factors[k] = mul[a * size + m], mul[inv[m] * size + b]
+            k -= 1
+        while factors and factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == 0:
+        lead += 1
+    return p + lead, tuple(factors[lead:])
+
+
+def test_normal_form_matches_the_rewrite_at_every_negative_letter():
+    words = [BraidWord(4, (1,) + (-2,) * k + (3,)) for k in (1, 5, 50, 200)]
+    rng = random.Random(1992)
+    for _ in range(300):
+        strands = rng.choice((3, 4))
+        alphabet = (1, 2, -1, -2) if strands == 3 else _LETTERS_4
+        letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 200)))
+        words.append(BraidWord(strands, letters))
+    words += [w.inverse() for w in words]
+    for w in words:
+        assert _normal_form(w) == _reference_normal_form(w), w
+
+
 def _oracle_equal(w1: BraidWord, w2: BraidWord) -> bool:
     return artin_action(w1) == artin_action(w2)
 
@@ -200,7 +311,9 @@ def test_normal_form_classes_are_the_image_classes(strands, max_letters, words, 
         for letters in product(alphabet, repeat=n):
             w = BraidWord(strands, letters)
             by_image.setdefault(artin_action(w), []).append(letters)
-            by_form.setdefault(_normal_form(w), []).append(letters)
+            form = _normal_form(w)
+            assert form == _reference_normal_form(w), letters
+            by_form.setdefault(form, []).append(letters)
             count += 1
     assert (count, len(by_image), len(by_form)) == (words, classes, classes)
     assert sorted(by_image.values()) == sorted(by_form.values())
@@ -471,6 +584,11 @@ def test_suite_registry():
         relation_suite("nope")
     with pytest.raises(ValueError):
         relation_suite("eq2.1", kmax=-1)
+    # eq2.3-2.4 costs about kmax^3 table lookups: 2 s at 256, minutes at 1024
+    assert KMAX_LIMIT == 256
+    for name in ("eq2.3-2.4", "lemma1.1"):
+        with pytest.raises(ValueError, match="kmax must be at most 256"):
+            relation_suite(name, kmax=KMAX_LIMIT + 1)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

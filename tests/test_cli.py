@@ -186,6 +186,8 @@ def test_relations_check(capsys):
     code, out, _ = run(capsys, "relations-check", "eq2.1", "--kmax", "2")
     assert code == 0
     assert all(line.startswith("PASS ") for line in out.splitlines())
+    code, out, err = run(capsys, "relations-check", "eq2.3-2.4", "--kmax", "257")
+    assert (code, out, err) == (2, "", "error: kmax must be at most 256\n")
 
 
 def test_unknown_suite_is_a_parse_error(capsys):

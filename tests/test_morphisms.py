@@ -99,6 +99,27 @@ def test_apply_matches_substitute_then_reduce():
                 assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (name, w)
 
 
+@pytest.mark.parametrize("longest", [3, 40])
+def test_apply_folds_and_joins_alike(monkeypatch, longest):
+    # seeded morphisms with images up to `longest` letters, empty ones included
+    rng = random.Random(8080 + longest)
+
+    def word(n: int) -> FreeWord:
+        return FreeWord("".join(rng.choices("abAB", k=n)))
+
+    cases = []
+    for _ in range(400):
+        phi = F2Morphism(word(rng.randint(0, longest)), word(rng.randint(0, longest)))
+        cases.append((phi, F2Morphism(word(rng.randint(0, 12)), word(rng.randint(0, 12))), word(rng.randint(0, 40))))
+    results = []
+    for mean in (0, 10**9):  # every image folded at its seams, then every word joined
+        monkeypatch.setattr(ranktwo.morphisms, "_FOLD_MEAN_LETTERS", mean)
+        results.append([(phi(w), phi * psi) for phi, psi, w in cases])
+    assert results[0] == results[1]
+    for (phi, _, w), (image, _) in zip(cases, results[0]):
+        assert image.letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+
+
 def test_ranks_do_not_mix():
     with pytest.raises(ValueError):
         F2Morphism(FreeWord("a"), FreeWord("b", rank=3))

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import ranktwo.words
-from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _reduced, commutator
+from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _product, _reduced, commutator
 
 
 def words_up_to(max_len: int) -> list[FreeWord]:
@@ -96,6 +96,16 @@ def test_reduction_matches_reference_stack():
         for _ in range(2000):
             s = "".join(rng.choices(alphabet, k=rng.randint(0, 200)))
             assert _reduced(s) == _reference_reduced(s), s
+    # reduced runs whose seams cancel partly, wholly or through several runs
+    for _ in range(3000):
+        runs = []
+        for _ in range(rng.randint(0, 6)):
+            run = _reference_reduced("".join(rng.choices("abAB", k=rng.randint(0, 12))))
+            if runs and rng.random() < 0.6:
+                tail = "".join(runs)[-rng.randint(0, 20) :]
+                run = _reference_reduced(tail[::-1].swapcase() + run)
+            runs.append(run)
+        assert _product(runs) == _reference_reduced("".join(runs)), runs
 
 
 def test_common_prefix_matches_letter_loop():
