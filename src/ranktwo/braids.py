@@ -657,9 +657,8 @@ SUITE_NAMES = tuple(sorted([*_SUITES, *_POWER_SUITES]))
 KMAX_LIMIT = 256
 """The largest exponent :func:`relation_suite` accepts.
 
-The power suites build G^k with no letter limit, and eq2.3-2.4 costs
-on the order of kmax^3 table lookups, so a larger kmax raises
-ValueError instead of running for minutes.
+eq2.3-2.4 costs on the order of kmax^3 table lookups, so a larger
+kmax raises ValueError instead of running for minutes.
 """
 
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .words import _GENERATORS, FreeWord, _check_same_rank, _inverted, _product, _reduced
+from .words import (
+    _ALPHABETS, _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _check_same_rank, _inverted, _product, _reduced
+)
 
 
 def _power(x, n: int, out):
@@ -86,6 +88,9 @@ class Mat2:
 # the mean image length from which F2Morphism._apply folds images at their seams
 _FOLD_MEAN_LETTERS = 8
 
+# the letters of each rank to the digits 0, 1, ... in _ALPHABETS order, for F2Morphism._apply
+_DIGITS = {rank: str.maketrans(s, "01234567"[: len(s)]) for rank, s in _ALPHABETS.items()}
+
 # Stern-Brocot shears: the abelianized images of the G-type and D-type
 # generators respectively.
 SHEAR_R = Mat2(1, 1, 0, 1)
@@ -96,6 +101,9 @@ class F2Morphism:
     """An endomorphism of a free group of rank 2, 3 or 4, by the images of its generators.
 
     The rank is the number of images, and every image must have it.
+    Applying it, and so ``*`` and ``**``, raises ValueError when an image
+    would pass :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters before
+    cancellation.
     """
 
     __slots__ = ("_images",)
@@ -141,23 +149,32 @@ class F2Morphism:
         return phi
 
     def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
-        # one letter -> image table for all the words, inverting only images they use
         rank = len(self._images)
+        images = [img._s for img in self._images]
+        lengths = list(map(len, images))
+        # long images cancel only at their seams, where they are folded; short ones are
+        # written in C by one translate to digits and one replace per digit, then reduced
+        fold = sum(lengths) >= _FOLD_MEAN_LETTERS * rank
+        # the letter images in _ALPHABETS order, inverting only those the words use
         occurring = "".join([w._s for w in words])
-        table = {}
-        for gen, img in zip(_GENERATORS, self._images):
-            table[gen] = img._s
-            if gen.upper() in occurring:
-                table[gen.upper()] = _inverted(img._s)
-        # Long images cancel only at their seams, so folding them costs a
-        # few interpreted steps per letter of w; short ones are cheaper
-        # joined in C and reduced by the regex passes.
-        fold = sum(len(img) for img in self._images) >= _FOLD_MEAN_LETTERS * rank
+        images += [_inverted(s) if gen.upper() in occurring else "" for gen, s in zip(_GENERATORS, images)]
         out = []
         for w in words:
             _check_same_rank(w._rank, rank)
-            pieces = map(table.__getitem__, w._s)
-            out.append(FreeWord._make(_product(pieces) if fold else _reduced("".join(pieces)), rank))
+            s = w._s
+            # the exact unreduced length takes 2 * rank scans, so only when it may pass the limit
+            if len(s) * max(lengths) > IMAGE_LETTER_LIMIT and sum(
+                (s.count(gen) + s.count(gen.upper())) * n for gen, n in zip(_GENERATORS, lengths)
+            ) > IMAGE_LETTER_LIMIT:
+                raise ValueError("this image exceeds %d letters" % IMAGE_LETTER_LIMIT)
+            if fold:
+                s = _product(map(dict(zip(_ALPHABETS[rank], images)).__getitem__, s))
+            else:
+                s = s.translate(_DIGITS[rank])
+                for digit, image in enumerate(images):
+                    s = s.replace(str(digit), image)
+                s = _reduced(s, rank)
+            out.append(FreeWord._make(s, rank))
         return tuple(out)
 
     def __call__(self, w: FreeWord) -> FreeWord:

@@ -19,11 +19,12 @@ _LETTER_SETS = {rank: frozenset(letters) for rank, letters in _ALPHABETS.items()
 IMAGE_LETTER_LIMIT = 1 << 20
 """The most letters a word built from a short description may have.
 
-A power of a word, a Christoffel word and the free-group image of a
-braid can be far longer than what describes them, so the functions that
-build them raise ValueError past this size instead of running out of
-time or memory.  For a braid the letters are summed over the generator
-images.
+A power of a word, a Christoffel word, the free-group image of a braid
+and the image of a word under a morphism can be far longer than what
+describes them, so the functions that build them raise ValueError past
+this size instead of running out of time or memory.  For a braid the
+letters are summed over the generator images; a morphism image counts
+its letters before cancellation.
 """
 
 
@@ -59,31 +60,35 @@ def _common_prefix(s: str, t: str) -> int:
     return k
 
 
-_CANCELLING_PAIR = re.compile("aA|Aa|bB|Bb|cC|Cc|dD|Dd")
+# (inverted letter, pair, reversed pair) for each generator's inverse pairs
+_PAIRS = (("A", "aA", "Aa"), ("B", "bB", "Bb"), ("C", "cC", "Cc"), ("D", "dD", "Dd"))
 # zero-width, so that overlapping pairs such as the two in "aAa" are all found
-_SEAM = re.compile("(?=%s)" % _CANCELLING_PAIR.pattern)
+_SEAM = re.compile("(?=%s)" % "|".join("%s|%s" % (pair, reverse) for _, pair, reverse in _PAIRS))
 _SWAP = str.maketrans("abcdABCD", "ABCDabcd")
 
 
-def _has_inverse_pair(s: str) -> bool:
-    # eight substring scans in C beat one regex scan at every length
-    return (
-        "aA" in s or "Aa" in s or "bB" in s or "Bb" in s
-        or "cC" in s or "Cc" in s or "dD" in s or "Dd" in s
-    )
+def _has_inverse_pair(s: str, rank: int) -> bool:
+    # a pair holds its inverted letter, which a one-letter scan in C rules out
+    for inverse, pair, reverse in _PAIRS[:rank]:
+        if inverse in s and (pair in s or reverse in s):
+            return True
+    return False
 
 
-def _reduced(s: str) -> str:
+def _reduced(s: str, rank: int = 4) -> str:
     """Cancel adjacent inverse pairs until none remain.
 
-    One substitution removes the innermost pairs.  The pairs left over
-    cut the word into reduced runs, whose product :func:`_product`
-    takes, so the work is linear in len(s).
+    Two str.replace passes per generator of the rank remove most pairs
+    (free reduction is confluent, so their order does not matter); the
+    pairs left over cut the word into reduced runs, whose product
+    :func:`_product` takes, so the work is linear in len(s).
     """
-    if not _has_inverse_pair(s):
+    if not _has_inverse_pair(s, rank):
         return s
-    s = _CANCELLING_PAIR.sub("", s)
-    if not _has_inverse_pair(s):
+    for inverse, pair, reverse in _PAIRS[:rank]:
+        if inverse in s:
+            s = s.replace(pair, "").replace(reverse, "")
+    if not _has_inverse_pair(s, rank):
         return s
     cuts = [m.start() + 1 for m in _SEAM.finditer(s)]
     return _product([s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])])
@@ -155,7 +160,7 @@ class FreeWord:
                 "invalid letter(s) %s: words are written over %s"
                 % (", ".join(sorted(bad)), ", ".join(_ALPHABETS[rank]))
             )
-        self._s = _reduced(letters)
+        self._s = _reduced(letters, rank)
         self._rank = rank
 
     @classmethod

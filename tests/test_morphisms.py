@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import random
+import time
 
 import pytest
 
@@ -24,9 +25,9 @@ from ranktwo.morphisms import (
     parse_sturmian,
     sturmian_inverse,
 )
-from ranktwo.words import FreeWord
+from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord
 
-from test_words import words_up_to
+from test_words import _reference_reduced, words_up_to
 
 
 def test_doctests():
@@ -80,11 +81,11 @@ def test_apply():
 
 def _substituted_and_reduced(phi: F2Morphism, s: str) -> str:
     """String-level reference: substitute every letter, then cancel pairs until none is left."""
-    images = {"a": phi.image_a.letters, "b": phi.image_b.letters}
+    images = dict(zip("abcd", (img.letters for img in phi.images)))
     out = "".join(images[ch] if ch in images else images[ch.lower()][::-1].swapcase() for ch in s)
     while True:
         shorter = out
-        for pair in ("aA", "Aa", "bB", "Bb"):
+        for pair in ("aA", "Aa", "bB", "Bb", "cC", "Cc", "dD", "Dd"):
             shorter = shorter.replace(pair, "")
         if shorter == out:
             return out
@@ -118,6 +119,67 @@ def test_apply_folds_and_joins_alike(monkeypatch, longest):
     assert results[0] == results[1]
     for (phi, _, w), (image, _) in zip(cases, results[0]):
         assert image.letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_apply_matches_substitute_then_reduce_at_higher_ranks(rank):
+    rng = random.Random(3030 + rank)
+    alphabet = "abcd"[:rank] + "ABCD"[:rank]
+
+    def word(n: int) -> FreeWord:
+        return FreeWord("".join(rng.choices(alphabet, k=n)), rank)
+
+    for _ in range(1500):
+        # empty images and letters that map to themselves are common
+        images = [
+            rng.choice((FreeWord("", rank), FreeWord.generator(rank, i + 1), word(rng.randint(1, 6))))
+            for i in range(rank)
+        ]
+        phi = F2Morphism(*images)
+        # a word holding every letter and inverse, so that all 2 * rank digits are in use
+        w = FreeWord("", rank)
+        while set(w.letters) != set(alphabet):
+            w = word(40)
+        assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+        psi = F2Morphism(*(word(rng.randint(0, 5)) for _ in range(rank)))
+        assert (phi * psi).images == tuple(phi(img) for img in psi.images)
+
+
+def test_apply_letter_limit():
+    # a hundred alternating G D tokens would build about 10^21 letters
+    for build in (
+        lambda: eval_sturmian(parse_sturmian("G D " * 50)),
+        lambda: F2Morphism(FreeWord("ab"), FreeWord("a")) ** 200,
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="this image exceeds %d letters" % IMAGE_LETTER_LIMIT):
+            build()
+        assert time.perf_counter() - start < 1
+    # the bound is on the letters of the image, not on |w| times the longest image
+    half = IMAGE_LETTER_LIMIT // 2
+    phi = F2Morphism(FreeWord("a" * half), FreeWord("b"))
+    assert len(phi(FreeWord("a" + "b" * half))) == IMAGE_LETTER_LIMIT
+    for w in ("aba", "Aba", "ABA"):
+        with pytest.raises(ValueError, match="exceeds"):
+            phi(FreeWord(w))
+    with pytest.raises(ValueError, match="exceeds"):
+        phi * F2Morphism(FreeWord("a"), FreeWord("aBa"))
+    # the unreduced length decides, even when the reduced image is short
+    psi = F2Morphism(FreeWord("a" * half + "b"), FreeWord("B" + "A" * half))
+    assert len(psi(FreeWord("a"))) == half + 1
+    with pytest.raises(ValueError, match="exceeds"):
+        psi(FreeWord("ab"))
+
+
+def test_apply_is_linear_on_long_words():
+    # one a in 25, so that the unreduced image, a -> Ba, stays under the letter limit
+    w = FreeWord("".join(random.Random(6).choices("ab", weights=(1, 24), k=10**6)))
+    start = time.perf_counter()
+    image = generator_inverse("D")(w)
+    # linear takes well under a second; a quadratic reduction would take hours
+    assert time.perf_counter() - start < 10
+    assert image.letters == _reference_reduced(w.letters.replace("a", "Ba"))
+    assert generator("D")(image) == w
 
 
 def test_ranks_do_not_mix():

@@ -90,12 +90,24 @@ def test_reduction_matches_reference_stack():
     for n in range(9):
         for letters in itertools.product("abAB", repeat=n):
             s = "".join(letters)
-            assert _reduced(s) == _reference_reduced(s), s
+            assert _reduced(s) == _reduced(s, 2) == _reference_reduced(s), s
     rng = random.Random(4242)
     for alphabet in ("abAB", "abcABC", "abcdABCD", "aA", "abBA"):
         for _ in range(2000):
             s = "".join(rng.choices(alphabet, k=rng.randint(0, 200)))
             assert _reduced(s) == _reference_reduced(s), s
+    # each rank's replace passes, and pairs that cascade past them
+    for rank, alphabet in ((2, "abAB"), (3, "abcABC"), (4, "abcdABCD")):
+        cascades = ["aaAA", "abBA", "AabB", "aAaA", "abBAab", "ab" * 5 + "BA" * 5]
+        if rank > 2:
+            cascades += ["abcCBA", "cCa", "acCA", "cbBaAC"]
+        if rank > 3:
+            cascades += ["abcdDCBA", "dcCD", "ddDcCD"]
+        for s in cascades:
+            assert _reduced(s, rank) == _reference_reduced(s), (rank, s)
+        for _ in range(2000):
+            s = "".join(rng.choices(alphabet, k=rng.randint(0, 200)))
+            assert _reduced(s, rank) == _reference_reduced(s), (rank, s)
     # reduced runs whose seams cancel partly, wholly or through several runs
     for _ in range(3000):
         runs = []
