@@ -1,37 +1,40 @@
 """Words in the braid groups on three and four strands.
 
 A braid word is a sequence of nonzero generator indices, negative for
-inverses.  Equality of braids is decided by the Garside left normal
-form Delta^p A1 ... Ar, whose factors are permutation braids (Garside
-1969; Thurston in Epstein et al., *Word Processing in Groups*, ch. 9):
-two words are equal exactly when their normal forms are, and the form
-costs O(L^2) table lookups in the word length L.  Since
-Delta^-1 a Delta = tau(a) for an involution tau that commutes with
-products, meets and complements, the factors are kept as tau^p of
-themselves while p counts the negative letters, so a negative letter
-costs no more than a positive one, and one tau pass at the end undoes
-an odd p.  The faithful action on a free group of the same rank,
-:func:`artin_action`, stays as an independent oracle: generator i sends
-x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a word acts by
-composing the generator actions left to right, the same convention as
-for morphisms.  Each letter rebuilds only the images its generator
-moves, as a product of at most three old images, which cancel only at
-their seams: a letter costs O(seam) interpreted steps plus the C
-copying of the images it moves.  Those images grow exponentially with
+inverses.  On four strands the index 4 is the paper's fourth letter,
+the conjugate sigma_4 = delta sigma_3 delta^-1, and every computation
+reads it as one letter, through tables built at import from its
+expansion sigma_3^-1 sigma_2^-1 sigma_1 sigma_2 sigma_3.  Equality of
+braids is decided by the Garside left normal form Delta^p A1 ... Ar,
+whose factors are permutation braids (Garside 1969; Thurston in Epstein
+et al., *Word Processing in Groups*, ch. 9): two words are equal exactly
+when their normal forms are, and the form costs O(L^2) table lookups in
+the word length L.  Each letter is a power of Delta and one or two
+simple factors.  Since Delta^-1 a Delta = tau(a) for an involution tau
+that commutes with products, meets and complements, the factors are kept
+as tau^p of themselves, so a Delta power costs nothing, and one tau pass
+at the end undoes an odd p.  The faithful action on a free group of the
+same rank, :func:`artin_action`, stays as an independent oracle:
+generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a
+word acts by composing the generator actions left to right, the same
+convention as for morphisms.  Each letter rebuilds only the images its
+generator moves, as a product of at most five old images, which cancel
+only at their seams: a letter costs O(seam) interpreted steps plus the
+C copying of the images it moves.  Those images grow exponentially with
 the word, so every free-group image is capped at
-:data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters.
+:data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
 
-On four strands the index 4 is accepted as surface syntax for the
-conjugate generator delta sigma_3 delta^-1; it is eliminated before any
-computation by the fixed expansion sigma_4 = sigma_3^-1 sigma_2^-1
-sigma_1 sigma_2 sigma_3.  :class:`ExtBraid` adjoins the mirror
-involution w as a semidirect Z/2 factor, elements being written in the
-normal form (braid, flag) for braid * w^flag.
+:meth:`BraidWord.expand` still writes 4 out as its five letters, for the
+mirror :func:`omega` and :func:`to_b3`.  :class:`ExtBraid` adjoins the
+mirror involution w as a semidirect Z/2 factor, elements being written
+in the normal form (braid, flag) for braid * w^flag.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import astuple
+from functools import reduce
 from itertools import permutations
 from typing import Iterable
 
@@ -45,8 +48,8 @@ from .morphisms import (
 )
 from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _inverted, _product
 
-_SIGMA4_EXPANSION = (-3, -2, 1, 2, 3)
-_SIGMA4_INV_EXPANSION = (-3, -2, -1, 2, 3)
+# sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
+_EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
 
 
 class BraidWord:
@@ -132,18 +135,10 @@ class BraidWord:
         return BraidWord(self._strands, tuple(-l for l in reversed(self._letters)))
 
     def expand(self) -> BraidWord:
-        """Eliminate the surface letter 4, leaving indices 1..3 only."""
+        """The same braid over indices 1..3, each 4 written out as five letters."""
         if self._strands != 4 or all(abs(l) != 4 for l in self._letters):
             return self
-        out: list[int] = []
-        for l in self._letters:
-            if l == 4:
-                out.extend(_SIGMA4_EXPANSION)
-            elif l == -4:
-                out.extend(_SIGMA4_INV_EXPANSION)
-            else:
-                out.append(l)
-        return BraidWord._make(4, tuple(out))
+        return BraidWord._make(4, tuple(x for l in self._letters for x in _EXPANSIONS.get(l, (l,))))
 
     def exponent_sum(self) -> int:
         """Image under the abelianization to Z; the expansion of 4 counts 1."""
@@ -166,6 +161,12 @@ def _artin_generator(rank: int, letter: int) -> F2Morphism:
     return F2Morphism(*(FreeWord(s, rank) for s in images))
 
 
+def _add_fourth(table: dict[int, F2Morphism]) -> None:
+    """Add 4 and -4 to a table of generator morphisms, each the product of its expansion."""
+    for letter, expansion in _EXPANSIONS.items():
+        table[letter] = reduce(operator.mul, (table[l] for l in expansion))
+
+
 _ARTIN = {
     rank: {
         letter: _artin_generator(rank, letter)
@@ -174,6 +175,7 @@ _ARTIN = {
     }
     for rank in (3, 4)
 }
+_add_fourth(_ARTIN[4])
 
 
 def _seam_rules(table: dict[int, F2Morphism]) -> dict[int, tuple]:
@@ -198,7 +200,7 @@ def _composed(rank: int, rules: dict[int, tuple], letters: tuple[int, ...]) -> F
     """The morphism of the letters composed left to right, by their seam rules.
 
     The images stay strings between letters, and each letter rebuilds
-    only the images it moves as the product of at most three old ones.
+    only the images it moves as the product of at most five old ones.
     """
     images = list(_GENERATORS[:rank])
     for letter in letters:
@@ -220,7 +222,7 @@ _ARTIN_RULES = {rank: _seam_rules(table) for rank, table in _ARTIN.items()}
 
 def artin_action(w: BraidWord) -> F2Morphism:
     """The action of the braid on the free group of rank `strands`."""
-    return _composed(w.strands, _ARTIN_RULES[w.strands], w.expand().letters)
+    return _composed(w.strands, _ARTIN_RULES[w.strands], w.letters)
 
 
 def _inversions(perm: tuple[int, ...]) -> int:
@@ -235,8 +237,9 @@ def _garside_tables(
     So Delta is 0 and the identity is the last index.  Returns the table
     size, then flat products ``mul[a * size + b]``, inverses, complements
     a^-1 Delta, tau(a) = Delta^-1 a Delta, flat meets (longest common
-    left divisors) and the factor each letter appends: sigma_i for i > 0,
-    and tau(sigma_i^-1 Delta) for -i, since sigma_i^-1 is Delta^-1 times it.
+    left divisors) and each letter as (Delta power, simple factors):
+    (0, (sigma_i,)) for i > 0, and (-1, (tau(sigma_i^-1 Delta),)) for -i,
+    since sigma_i^-1 is Delta^-1 times that factor.
     """
     perms = sorted(permutations(range(n)), key=_inversions, reverse=True)
     size = len(perms)
@@ -257,11 +260,25 @@ def _garside_tables(
     letters = {}
     for i in range(1, n):
         s = index[tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, n))]
-        letters[i], letters[-i] = s, tau[comp[s]]
+        letters[i], letters[-i] = (0, (s,)), (-1, (tau[comp[s]],))
     return size, mul, inv, comp, tau, meet, letters
 
 
+def _steps(tables: tuple) -> list:
+    """One bubble step per pair of factors, flat as ``steps[a * size + b]``.
+
+    None when (a, b) is left-weighted, else (a m, m^-1 b) for the meet m
+    of a^-1 Delta and b, which moves m from b onto a.
+    """
+    size, mul, inv, comp, _, meet, _ = tables
+    pairs = ((a, b, meet[comp[a] * size + b]) for a in range(size) for b in range(size))
+    return [
+        None if m == size - 1 else (mul[a * size + m], mul[inv[m] * size + b]) for a, b, m in pairs
+    ]
+
+
 _GARSIDE = {n: _garside_tables(n) for n in (3, 4)}
+_STEPS = {n: _steps(tables) for n, tables in _GARSIDE.items()}
 
 
 def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -269,35 +286,42 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
 
     Each factor indexes the permutation braids of :func:`_garside_tables`;
     none is Delta or the identity, and each pair is left-weighted:
-    the meet of A(k-1)^-1 Delta and A(k) is the identity.
+    the meet of A(k-1)^-1 Delta and A(k) is the identity.  A letter adds
+    its precomputed Delta power to p and appends its simple factors one
+    at a time, each bubbled left by one lookup in :data:`_STEPS` per step.
     """
-    size, mul, inv, comp, tau, meet, letters = _GARSIDE[w.strands]
+    size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
+    steps = _STEPS[w.strands]
     identity = size - 1
     p = 0
-    # A1 ... Ar Delta^-1 = Delta^-1 tau(A1) ... tau(Ar), and tau commutes
+    # A1 ... Ar Delta^q = Delta^q tau^q(A1) ... tau^q(Ar), and tau commutes
     # with products, meets and complements, so the factors are kept as
-    # tau^p of themselves and a negative letter only moves p
+    # tau^p of themselves and a letter's Delta power only moves p
     factors: list[int] = []
-    for letter in w.expand().letters:
-        if letter < 0:
-            p -= 1
-        factors.append(tau[letters[letter]] if p & 1 else letters[letter])
-        k = len(factors) - 1
-        while k:
-            a, b = factors[k - 1], factors[k]
-            m = meet[comp[a] * size + b]
-            if m == identity:
-                break
-            factors[k - 1], factors[k] = mul[a * size + m], mul[inv[m] * size + b]
-            k -= 1
-        while factors and factors[-1] == identity:
-            factors.pop()
+    for letter in w.letters:
+        power, simple = letters[letter]
+        p += power
+        for f in simple:
+            factors.append(tau[f] if p & 1 else f)
+            k = len(factors) - 1
+            while k:
+                step = steps[factors[k - 1] * size + factors[k]]
+                if step is None:
+                    break
+                factors[k - 1], factors[k] = step
+                k -= 1
+            while factors and factors[-1] == identity:
+                factors.pop()
     if p & 1:
         factors = [tau[a] for a in factors]
     lead = 0
     while lead < len(factors) and factors[lead] == 0:
         lead += 1
     return p + lead, tuple(factors[lead:])
+
+
+# the letter table gets sigma_4 and its inverse, each Delta^-1 times two factors
+_GARSIDE[4][6].update({l: _normal_form(BraidWord._make(4, e)) for l, e in _EXPANSIONS.items()})
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
@@ -383,6 +407,7 @@ _F2_ACTION = {
     3: generator("Gt"),
     -3: generator_inverse("Gt"),
 }
+_add_fourth(_F2_ACTION)
 _F2_ACTION_RULES = _seam_rules(_F2_ACTION)
 
 
@@ -390,7 +415,7 @@ def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt."""
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    return _composed(2, _F2_ACTION_RULES, w.expand().letters)
+    return _composed(2, _F2_ACTION_RULES, w.letters)
 
 
 def f2_action_ext(e: ExtBraid) -> F2Morphism:
@@ -407,7 +432,7 @@ _GL2 = {letter: astuple(phi.matrix()) for letter, phi in _F2_ACTION.items()}
 def gl2_image(w: BraidWord) -> Mat2:
     """The induced matrix on Z^2 (odd indices to the R shear, even to the inverse L shear)."""
     a, b, c, d = 1, 0, 0, 1
-    for letter in w.expand().letters:
+    for letter in w.letters:
         e, f, g, h = _GL2[letter]
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return Mat2(a, b, c, d)

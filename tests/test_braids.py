@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import time
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -12,6 +14,7 @@ from ranktwo.braids import (
     _ARTIN,
     _F2_ACTION,
     _GARSIDE,
+    _STEPS,
     IMAGE_LETTER_LIMIT,
     KMAX_LIMIT,
     SUITE_NAMES,
@@ -143,10 +146,23 @@ def test_artin_action_on_generators():
 
 def _reference_composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
     """The generator morphisms composed one product at a time; kept as an
-    oracle for the string composition by seam rules in _composed."""
+    oracle for the string composition by seam rules in _composed.
+
+    The product out * g is taken image by image, each image of g naming
+    the images of out (and their inverses) to multiply, so that only the
+    limit on the reduced images applies, not the budget of the morphism
+    product on unreduced ones."""
     out = F2Morphism.identity(rank)
     for letter in letters:
-        out = out * table[letter]
+        named = {}
+        for g, image in zip("abcd", out.images):
+            named[g], named[g.upper()] = image, image.inverse()
+        out = F2Morphism(
+            *(
+                reduce(operator.mul, map(named.__getitem__, img.letters), FreeWord("", rank))
+                for img in table[letter].images
+            )
+        )
         if sum(len(w) for w in out.images) > IMAGE_LETTER_LIMIT:
             raise ValueError(
                 "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
@@ -168,40 +184,62 @@ def test_actions_match_the_product_by_product_composition(strands, alphabet, max
                 assert f2_action(w) == _reference_composed(2, _F2_ACTION, expanded), letters
 
 
+def _first_letter_past_the_limit(rng, act, rank, table, alphabet, growth) -> tuple[int, ...]:
+    """Bisect a seeded word for the first letter whose image passes the limit,
+    checking the action against the reference on both sides of it; returns
+    the longest prefix that passes.  One letter of the alphabet multiplies
+    the summed image length by at most `growth`."""
+    # random words pass the limit after about 80 to 200 letters
+    letters = tuple(rng.choice(alphabet) for _ in range(400))
+    below = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 45)))
+    for sample in (below, letters):
+        try:
+            expected = _reference_composed(rank, table, sample)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = act(BraidWord(4, sample))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, sample
+    assert got == "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
+    # raising is monotone in the prefix, so bisect for the first letter
+    # that passes the limit, then ask the reference about it and the one before
+    lo, hi = 0, len(letters)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            act(BraidWord(4, letters[:mid]))
+            lo = mid
+        except ValueError:
+            hi = mid
+    assert hi > 1
+    with pytest.raises(ValueError, match="image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT):
+        _reference_composed(rank, table, letters[:hi])
+    phi = act(BraidWord(4, letters[: hi - 1]))
+    assert phi == _reference_composed(rank, table, letters[: hi - 1])
+    assert sum(len(x) for x in phi.images) > IMAGE_LETTER_LIMIT // growth
+    return letters[: hi - 1]
+
+
 def test_actions_pass_the_letter_limit_at_the_reference_letter():
     rng = random.Random(2020)
     actions = [(artin_action, 4, _ARTIN[4]), (f2_action, 2, _F2_ACTION)]
     for act, rank, table in actions * 3:
-        # random words pass the limit after about 80 to 200 letters
-        letters = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(400))
-        below = tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(1, 45)))
-        for sample in (below, letters):
-            try:
-                expected = _reference_composed(rank, table, sample)
-            except ValueError as exc:
-                expected = str(exc)
-            try:
-                got = act(BraidWord(4, sample))
-            except ValueError as exc:
-                got = str(exc)
-            assert got == expected, sample
-        assert got == "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
-        # raising is monotone in the prefix, so bisect for the first letter
-        # that passes the limit, then ask the reference about it and the one before
-        lo, hi = 0, len(letters)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                act(BraidWord(4, letters[:mid]))
-                lo = mid
-            except ValueError:
-                hi = mid
-        assert hi > 1
-        with pytest.raises(ValueError, match="image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT):
-            _reference_composed(rank, table, letters[:hi])
-        phi = act(BraidWord(4, letters[: hi - 1]))
-        assert phi == _reference_composed(rank, table, letters[: hi - 1])
-        assert sum(len(x) for x in phi.images) > IMAGE_LETTER_LIMIT // 4
+        _first_letter_past_the_limit(rng, act, rank, table, (1, 2, 3, -1, -2, -3), 4)
+    # over all eight letters the limit is checked after each letter of the
+    # input, as the reference does over the table holding 4 and -4, so the
+    # five-letter expansion of 4 never builds or checks its inner images:
+    # a word can pass where its expansion, composed letter by letter, does
+    # not.  4 sends a, b, c, d to adA, aDbdA, aDcdA, a, at most 7 times longer
+    inside_expansion = 0
+    for act, rank, table in actions * 6:
+        passing = _first_letter_past_the_limit(rng, act, rank, table, _LETTERS_4, 7)
+        try:
+            _reference_composed(rank, table, BraidWord(4, passing).expand().letters)
+        except ValueError:
+            inside_expansion += 1
+    assert inside_expansion >= 1
 
 
 def test_artin_action_is_homomorphism():
@@ -257,7 +295,8 @@ def _reference_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
         if letter < 0:
             p -= 1
             factors = [tau[a] for a in factors]
-        factors.append(letters[letter])
+        (factor,) = letters[letter][1]
+        factors.append(factor)
         k = len(factors) - 1
         while k:
             a, b = factors[k - 1], factors[k]
@@ -285,6 +324,57 @@ def test_normal_form_matches_the_rewrite_at_every_negative_letter():
     words += [w.inverse() for w in words]
     for w in words:
         assert _normal_form(w) == _reference_normal_form(w), w
+
+
+def test_letter_four_matches_the_expanding_oracles():
+    # every word of at most 4 letters over all eight letters, then seeded
+    # longer ones; each oracle reads the word with 4 written out
+    words = [BraidWord(4, letters) for n in range(5) for letters in product(_LETTERS_4, repeat=n)]
+    assert len(words) == 4681
+    rng = random.Random(1925)
+    words += [
+        BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(rng.randint(5, 60))]) for _ in range(300)
+    ]
+    within_limit = 0
+    for w in words:
+        expanded = w.expand().letters
+        assert _normal_form(w) == _reference_normal_form(w), w
+        matrix = reduce(operator.mul, (_F2_ACTION[l].matrix() for l in expanded), Mat2.identity())
+        assert gl2_image(w) == matrix, w
+        for act, rank, table in ((artin_action, 4, _ARTIN[4]), (f2_action, 2, _F2_ACTION)):
+            try:
+                expected = _reference_composed(rank, table, expanded)
+            except ValueError:
+                # an image inside the expansion of a 4 passed the limit;
+                # the letter-limit test covers these words
+                continue
+            assert act(w) == expected, w
+            within_limit += 1
+    assert within_limit >= 2 * len(words) - 10, within_limit
+
+
+def test_letter_four_tables():
+    # 4 lifts Dt^-1 and -4 lifts Dt, the paper's realization of Dt
+    assert f2_action(BraidWord(4, (4,))) == generator_inverse("Dt") == _F2_ACTION[4]
+    assert f2_action(BraidWord(4, (-4,))) == generator("Dt") == _F2_ACTION[-4]
+    assert [x.letters for x in _ARTIN[4][4].images] == ["adA", "aDbdA", "aDcdA", "a"]
+    assert _ARTIN[4][4] * _ARTIN[4][-4] == F2Morphism.identity(4)
+    assert 4 not in _ARTIN[3]
+    # sigma_4 is Delta^-1 times two simple factors, and so is its inverse
+    for letter in (4, -4):
+        power, simple = _GARSIDE[4][6][letter]
+        assert power == -1 and len(simple) == 2, (power, simple)
+        assert (power, simple) == _reference_normal_form(BraidWord(4, (letter,)))
+    for n in (3, 4):
+        size, mul, inv, comp, tau, meet, letters = _GARSIDE[n]
+        for a, b in product(range(size), repeat=2):
+            step = _STEPS[n][a * size + b]
+            # a step keeps the product and leaves a left-weighted pair
+            if step is None:
+                assert meet[comp[a] * size + b] == size - 1, (n, a, b)
+            else:
+                assert mul[step[0] * size + step[1]] == mul[a * size + b], (n, a, b)
+                assert _STEPS[n][step[0] * size + step[1]] is None, (n, a, b)
 
 
 def _oracle_equal(w1: BraidWord, w2: BraidWord) -> bool:

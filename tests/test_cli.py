@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from ranktwo.cli import main
@@ -165,6 +168,39 @@ def test_braid_eq_mod_center(capsys):
     assert code == 0 and out == "EQUAL\n"
     code, out, _ = run(capsys, "braid-eq", twist, "")
     assert code == 1 and out == "NOT-EQUAL\n"
+
+
+def test_braid_letter_four(capsys):
+    # 4 lifts Dt^-1 and -4 lifts Dt
+    code, out, _ = run(capsys, "braid-apply", "4")
+    assert code == 0 and out == "aB b\n"
+    code, out, _ = run(capsys, "braid-apply", "--", "-4")
+    assert code == 0 and out == "ab b\n"
+    code, out, _ = run(capsys, "braid-eq", "--", "4", "-3 -2 1 2 3")
+    assert code == 0 and out == "EQUAL\n"
+    code, out, _ = run(capsys, "braid-eq", "--", "-4", "-3 -2 1 2 3")
+    assert code == 1 and out == "NOT-EQUAL\n"
+    twist = "1 2 3 1 2 3 1 2 3 1 2 3"
+    code, out, _ = run(capsys, "braid-eq", "--mod-center", "--", "-4 " + twist, "-3 -2 -1 2 3")
+    assert code == 0 and out == "EQUAL\n"
+    code, out, _ = run(capsys, "braid-eq", "--", "-4 " + twist, "-3 -2 -1 2 3")
+    assert code == 1 and out == "NOT-EQUAL\n"
+    code, out, _ = run(capsys, "braid-eq", "--mod-center", "4 " + twist, "-4")
+    assert code == 1 and out == "NOT-EQUAL\n"
+
+
+def test_readme_session(capsys):
+    # every `$ ranktwo ...` command of the README prints what follows it there
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    session = readme.split("```sh\n$ ranktwo ", 1)[1].split("```", 1)[0]
+    commands = ("ranktwo " + session).split("$ ")
+    assert len(commands) == 9
+    for block in commands:
+        command, expected = block.split("\n", 1)
+        argv = shlex.split(command)
+        assert argv[0] == "ranktwo"
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, out, err) == (1 if out.startswith("NOT-") else 0, expected, ""), command
 
 
 def test_decompose(capsys):
