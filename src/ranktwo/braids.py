@@ -18,10 +18,13 @@ same rank, :func:`artin_action`, stays as an independent oracle:
 generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a
 word acts by composing the generator actions left to right, the same
 convention as for morphisms.  Each letter rebuilds only the images its
-generator moves, as a product of at most five old images, which cancel
-only at their seams: a letter costs O(seam) interpreted steps plus the
-C copying of the images it moves.  Those images grow exponentially with
-the word, so every free-group image is capped at
+generator moves, joining old images one seam at a time, and two reduced
+words cancel only at their seam: a letter costs O(log seam) interpreted
+steps per join plus the C copying of the images it moves.  In the
+rank-two action :func:`f2_action` every letter moves one image, the join
+of two old ones, so a letter is one table row and one join.  Those
+images grow exponentially with the word, so every free-group image is
+capped at
 :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
 
 :meth:`BraidWord.expand` still writes 4 out as its five letters, for the
@@ -46,10 +49,12 @@ from .morphisms import (
     generator_inverse,
     is_special_sturmian,
 )
-from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _inverted, _product
+from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _inverted, _joined
 
 # sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
 _EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
+_LETTERS = {3: frozenset((1, 2, -1, -2)), 4: frozenset((1, 2, 3, 4, -1, -2, -3, -4))}
+_IMAGE_TOO_LONG = "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
 
 
 class BraidWord:
@@ -62,16 +67,18 @@ class BraidWord:
     __slots__ = ("_strands", "_letters")
 
     def __init__(self, strands: int = 4, letters: Iterable[int] = ()) -> None:
-        if strands not in (3, 4):
+        valid = _LETTERS.get(strands)
+        if valid is None:
             raise ValueError("strands must be 3 or 4")
         letters = tuple(letters)
-        top = 4 if strands == 4 else 2
-        for l in letters:
-            if not isinstance(l, int) or isinstance(l, bool) or l == 0 or abs(l) > top:
-                raise ValueError(
-                    "braid letters on %d strands are nonzero integers with absolute value at most %d"
-                    % (strands, top)
-                )
+        # True and 1.0 equal 1, so the set test alone would let them in;
+        # it comes second, so that an unhashable letter never reaches it
+        integers = all(issubclass(t, int) and t is not bool for t in set(map(type, letters)))
+        if not (integers and valid.issuperset(letters)):
+            raise ValueError(
+                "braid letters on %d strands are nonzero integers with absolute value at most %d"
+                % (strands, max(valid))
+            )
         self._strands = strands
         self._letters = letters
 
@@ -124,15 +131,17 @@ class BraidWord:
             return NotImplemented
         if self._strands != other._strands:
             raise ValueError("cannot multiply braids on different strand counts")
-        return BraidWord(self._strands, self._letters + other._letters)
+        return BraidWord._make(self._strands, self._letters + other._letters)
 
     def __pow__(self, n: int) -> BraidWord:
+        if len(self._letters) * abs(n) > IMAGE_LETTER_LIMIT:
+            raise ValueError("this power exceeds %d letters" % IMAGE_LETTER_LIMIT)
         if n < 0:
             return self.inverse() ** (-n)
-        return BraidWord(self._strands, self._letters * n)
+        return BraidWord._make(self._strands, self._letters * n)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self._strands, tuple(-l for l in reversed(self._letters)))
+        return BraidWord._make(self._strands, tuple(-l for l in reversed(self._letters)))
 
     def expand(self) -> BraidWord:
         """The same braid over indices 1..3, each 4 written out as five letters."""
@@ -200,20 +209,21 @@ def _composed(rank: int, rules: dict[int, tuple], letters: tuple[int, ...]) -> F
     """The morphism of the letters composed left to right, by their seam rules.
 
     The images stay strings between letters, and each letter rebuilds
-    only the images it moves as the product of at most five old ones.
+    only the images it moves, folding their one to five old pieces with
+    :func:`~ranktwo.words._joined`.  This loop serves ranks 3 and 4,
+    where a letter moves two or four images; the rank-two action has its
+    own loop in :func:`f2_action`.
     """
     images = list(_GENERATORS[:rank])
     for letter in letters:
         moved = [
-            (i, _product([_inverted(images[j]) if inverted else images[j] for j, inverted in pieces]))
+            (i, reduce(_joined, [_inverted(images[j]) if inv else images[j] for j, inv in pieces]))
             for i, pieces in rules[letter]
         ]
         for i, image in moved:
             images[i] = image
         if sum(map(len, images)) > IMAGE_LETTER_LIMIT:
-            raise ValueError(
-                "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
-            )
+            raise ValueError(_IMAGE_TOO_LONG)
     return F2Morphism._make(tuple(FreeWord._make(s, rank) for s in images))
 
 
@@ -264,17 +274,19 @@ def _garside_tables(
     return size, mul, inv, comp, tau, meet, letters
 
 
-def _steps(tables: tuple) -> list:
-    """One bubble step per pair of factors, flat as ``steps[a * size + b]``.
+def _steps(tables: tuple) -> list[list]:
+    """One bubble step per pair of factors, in rows: ``steps[a][b]``.
 
     None when (a, b) is left-weighted, else (a m, m^-1 b) for the meet m
     of a^-1 Delta and b, which moves m from b onto a.
     """
     size, mul, inv, comp, _, meet, _ = tables
-    pairs = ((a, b, meet[comp[a] * size + b]) for a in range(size) for b in range(size))
-    return [
-        None if m == size - 1 else (mul[a * size + m], mul[inv[m] * size + b]) for a, b, m in pairs
-    ]
+
+    def step(a: int, b: int) -> tuple[int, int] | None:
+        m = meet[comp[a] * size + b]
+        return None if m == size - 1 else (mul[a * size + m], mul[inv[m] * size + b])
+
+    return [[step(a, b) for b in range(size)] for a in range(size)]
 
 
 _GARSIDE = {n: _garside_tables(n) for n in (3, 4)}
@@ -288,7 +300,7 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     none is Delta or the identity, and each pair is left-weighted:
     the meet of A(k-1)^-1 Delta and A(k) is the identity.  A letter adds
     its precomputed Delta power to p and appends its simple factors one
-    at a time, each bubbled left by one lookup in :data:`_STEPS` per step.
+    at a time, each bubbled left by one row lookup in :data:`_STEPS` per step.
     """
     size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
     steps = _STEPS[w.strands]
@@ -305,7 +317,7 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
             factors.append(tau[f] if p & 1 else f)
             k = len(factors) - 1
             while k:
-                step = steps[factors[k - 1] * size + factors[k]]
+                step = steps[factors[k - 1]][factors[k]]
                 if step is None:
                     break
                 factors[k - 1], factors[k] = step
@@ -408,14 +420,30 @@ _F2_ACTION = {
     -3: generator_inverse("Gt"),
 }
 _add_fourth(_F2_ACTION)
-_F2_ACTION_RULES = _seam_rules(_F2_ACTION)
+# each letter moves one image i to the join of images j and l, each
+# inverted when its flag says so; the unpacking checks that shape at import
+_F2_ACTION_RULES = {
+    letter: (i, j, inv_j, l, inv_l)
+    for letter, ((i, ((j, inv_j), (l, inv_l))),) in _seam_rules(_F2_ACTION).items()
+}
 
 
 def f2_action(w: BraidWord) -> F2Morphism:
-    """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt."""
+    """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt.
+
+    The letters compose left to right as in :func:`_composed`, each by
+    one row of :data:`_F2_ACTION_RULES` and one join.
+    """
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    return _composed(2, _F2_ACTION_RULES, w.letters)
+    images = ["a", "b"]
+    for letter in w.letters:
+        i, j, inv_j, l, inv_l = _F2_ACTION_RULES[letter]
+        x, y = images[j], images[l]
+        images[i] = _joined(_inverted(x) if inv_j else x, _inverted(y) if inv_l else y)
+        if len(images[0]) + len(images[1]) > IMAGE_LETTER_LIMIT:
+            raise ValueError(_IMAGE_TOO_LONG)
+    return F2Morphism._make((FreeWord._make(images[0]), FreeWord._make(images[1])))
 
 
 def f2_action_ext(e: ExtBraid) -> F2Morphism:

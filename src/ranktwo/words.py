@@ -112,8 +112,7 @@ def _product(runs: Iterable[str]) -> str:
             prev, used = top
             if prev[used - 1] != run[start].swapcase():
                 break
-            m = min(used, n - start)
-            k = _common_prefix(_inverted(prev[used - m : used]), run[start : start + m])
+            k = _cancelled(prev, used, run, start)
             start += k
             if k < used:
                 top[1] = used - k
@@ -122,6 +121,21 @@ def _product(runs: Iterable[str]) -> str:
         if start < n:
             stack.append([run[start:], n - start])
     return "".join([run[:used] for run, used in stack])
+
+
+def _cancelled(x: str, end: int, y: str, start: int) -> int:
+    """How many letters cancel where x[:end] meets y[start:], both reduced:
+    how far the end of one is the inverse of the start of the other."""
+    m = min(end, len(y) - start)
+    return _common_prefix(_inverted(x[end - m : end]), y[start : start + m])
+
+
+def _joined(x: str, y: str) -> str:
+    """The reduced product of two reduced words: x + y unless their seam cancels."""
+    if not x or not y or x[-1] != y[0].swapcase():
+        return x + y
+    k = _cancelled(x, len(x), y, 0)
+    return x[: len(x) - k] + y[k:]
 
 
 def _inverted(s: str) -> str:
@@ -224,7 +238,7 @@ class FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
         _check_same_rank(self._rank, other._rank)
-        return FreeWord._make(_product((self._s, other._s)), self._rank)
+        return FreeWord._make(_joined(self._s, other._s), self._rank)
 
     def __pow__(self, n: int) -> FreeWord:
         if n < 0:
@@ -298,7 +312,7 @@ class FreeWord:
 
     def commutes_with(self, other: FreeWord) -> bool:
         _check_same_rank(self._rank, other._rank)
-        return _product((self._s, other._s)) == _product((other._s, self._s))
+        return _joined(self._s, other._s) == _joined(other._s, self._s)
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import operator
 import random
 import time
@@ -81,8 +82,15 @@ def test_validation():
     # True == 1, but it would print as "True", which parse cannot read back
     with pytest.raises(ValueError, match="nonzero integers"):
         BraidWord(4, (True, 2))
+    message = "braid letters on %d strands are nonzero integers with absolute value at most %d"
+    for strands, top, letters in ((4, 4, (1.0,)), (4, 4, (2, 0)), (4, 4, (5, 1)), (4, 4, (-5,)), (3, 2, (1, 3))):
+        with pytest.raises(ValueError, match=message % (strands, top)):
+            BraidWord(strands, letters)
     BraidWord(3, (1, 2, -1))
     BraidWord(4, (4, -4))
+    # an int subclass is an integer letter
+    Letter = enum.IntEnum("Letter", {"ONE": 1, "FOUR": 4})
+    assert BraidWord(4, (Letter.ONE, -2, Letter.FOUR)).letters == (1, -2, 4)
 
 
 def test_parse_and_str():
@@ -368,13 +376,13 @@ def test_letter_four_tables():
     for n in (3, 4):
         size, mul, inv, comp, tau, meet, letters = _GARSIDE[n]
         for a, b in product(range(size), repeat=2):
-            step = _STEPS[n][a * size + b]
+            step = _STEPS[n][a][b]
             # a step keeps the product and leaves a left-weighted pair
             if step is None:
                 assert meet[comp[a] * size + b] == size - 1, (n, a, b)
             else:
                 assert mul[step[0] * size + step[1]] == mul[a * size + b], (n, a, b)
-                assert _STEPS[n][step[0] * size + step[1]] is None, (n, a, b)
+                assert _STEPS[n][step[0]][step[1]] is None, (n, a, b)
 
 
 def _oracle_equal(w1: BraidWord, w2: BraidWord) -> bool:
@@ -480,6 +488,16 @@ def test_image_letter_limit():
         artin_action(BraidWord(4, (1, -2) * 40))
     # below the limit the action is exact
     assert sum(len(x) for x in f2_action(BraidWord(4, (1, -2, 3) * 5)).images) < IMAGE_LETTER_LIMIT
+    # a power fails before it builds its letters
+    start = time.perf_counter()
+    for k in (1 << 40, -(1 << 40)):
+        with pytest.raises(ValueError, match="power exceeds %d letters" % IMAGE_LETTER_LIMIT):
+            BraidWord(4, (1,)) ** k
+    assert time.perf_counter() - start < 0.01
+    assert len(BraidWord(4, (1, -2)) ** (IMAGE_LETTER_LIMIT // 2)) == IMAGE_LETTER_LIMIT
+    with pytest.raises(ValueError, match="power exceeds"):
+        BraidWord(4, (1, -2)) ** (IMAGE_LETTER_LIMIT // 2 + 1)
+    assert BraidWord(4) ** (1 << 40) == BraidWord(4)
 
 
 def test_eq_mod_center():

@@ -10,7 +10,15 @@ import time
 import pytest
 
 import ranktwo.words
-from ranktwo.words import IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _product, _reduced, commutator
+from ranktwo.words import (
+    IMAGE_LETTER_LIMIT,
+    FreeWord,
+    _common_prefix,
+    _joined,
+    _product,
+    _reduced,
+    commutator,
+)
 
 
 def words_up_to(max_len: int) -> list[FreeWord]:
@@ -118,6 +126,20 @@ def test_reduction_matches_reference_stack():
                 run = _reference_reduced(tail[::-1].swapcase() + run)
             runs.append(run)
         assert _product(runs) == _reference_reduced("".join(runs)), runs
+    # two runs, joined at one seam, on every pair of short rank-2 words
+    # and on seeded rank-4 pairs that cancel partly or wholly
+    pairs = [(x.letters, y.letters) for x in words_up_to(4) for y in words_up_to(4)]
+    for _ in range(3000):
+        x = _reference_reduced("".join(rng.choices("abcdABCD", k=rng.randint(0, 30))))
+        y = _reference_reduced("".join(rng.choices("abcdABCD", k=rng.randint(0, 30))))
+        if rng.random() < 0.6:
+            y = _reference_reduced(x[-rng.randint(0, len(x) + 1) :][::-1].swapcase() + y)
+        pairs.append((x, y))
+    for x, y in pairs:
+        expected = _reference_reduced(x + y)
+        rank = 4 if set(x + y) - set("abAB") else 2
+        assert _joined(x, y) == expected, (x, y)
+        assert FreeWord(x, rank) * FreeWord(y, rank) == FreeWord._make(expected, rank), (x, y)
 
 
 def test_common_prefix_matches_letter_loop():
