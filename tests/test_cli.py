@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ranktwo import braids
 from ranktwo.cli import main
 
 
@@ -224,6 +225,16 @@ def test_relations_check(capsys):
     assert all(line.startswith("PASS ") for line in out.splitlines())
     code, out, err = run(capsys, "relations-check", "eq2.3-2.4", "--kmax", "257")
     assert (code, out, err) == (2, "", "error: kmax must be at most 256\n")
+    code, out, err = run(capsys, "relations-check", "eq2.1", "--kmax", "-1")
+    assert (code, out, err) == (2, "", "error: kmax must be nonnegative\n")
+
+
+def test_relations_check_reports_a_false_relation(capsys, monkeypatch):
+    domain, compare, labels, per_k = braids._RELATIONS["lemma1.2"]
+    labels = (labels[0], "s1 s2 = s2 s1")
+    monkeypatch.setitem(braids._RELATIONS, "lemma1.2", (domain, compare, labels, per_k))
+    code, out, err = run(capsys, "relations-check", "lemma1.2")
+    assert (code, out, err) == (1, "PASS d s4 d' = s1\nFAIL s1 s2 = s2 s1\n", "")
 
 
 def test_unknown_suite_is_a_parse_error(capsys):
