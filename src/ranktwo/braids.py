@@ -296,6 +296,15 @@ _GARSIDE = {n: _garside_tables(n) for n in (3, 4)}
 _STEPS = {n: _steps(tables) for n, tables in _GARSIDE.items()}
 
 
+NORMAL_FORM_LETTER_LIMIT = 2 ** 13
+"""The most letters of a word that :func:`braid_equal` and :func:`eq_mod_center` compare.
+
+The normal form is quadratic at worst: at 8,192 letters 1^n (-1)^n takes
+0.85 s and (1 -2)^n 0.74 s, 3.7 and 3.8 s at 16,384 (2-vCPU VM; a random
+word of 8,192 letters takes 2 ms), so a longer word raises ValueError.
+"""
+
+
 def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     """The left normal form Delta^p A1 ... Ar of the braid, as (p, (A1, ..., Ar)).
 
@@ -305,6 +314,8 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     its precomputed Delta power to p and appends its simple factors one
     at a time, each bubbled left by one row lookup in :data:`_STEPS` per step.
     """
+    if len(w) > NORMAL_FORM_LETTER_LIMIT:
+        raise ValueError("cannot compare braids of more than %d letters" % NORMAL_FORM_LETTER_LIMIT)
     size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
     steps = _STEPS[w.strands]
     identity = size - 1
@@ -625,7 +636,7 @@ eq2.2, the costliest, takes 0.16 s at 256, 0.5 s at 512 and 1.9 s at 1024
 def relation_suite(name: str, kmax: int = 8) -> list[tuple[str, bool]]:
     """Run one named identity suite; each entry is (label, holds).
 
-    kmax, the largest exponent the power suites try, runs from 0 to
+    kmax, the largest exponent the power suites try, is an integer from 0 to
     :data:`KMAX_LIMIT`.  Each label is the relation checked, its two sides
     read as products, left to right, in one of two domains:
 
@@ -647,6 +658,8 @@ def relation_suite(name: str, kmax: int = 8) -> list[tuple[str, bool]]:
         raise ValueError(
             "unknown suite %r; available: %s" % (name, ", ".join(SUITE_NAMES))
         )
+    if isinstance(kmax, bool) or not isinstance(kmax, int):
+        raise ValueError("kmax must be an integer")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if kmax > KMAX_LIMIT:

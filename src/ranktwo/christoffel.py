@@ -80,6 +80,8 @@ def upper_christoffel_word(p: int, q: int) -> FreeWord:
 
 def word_path(w: FreeWord) -> tuple[Point, ...]:
     """Replay a word as a lattice path from the origin (a east, b north)."""
+    if w.rank != 2:
+        raise ValueError("lattice paths are defined for words of rank 2 only")
     x, y = 0, 0
     points = [(0, 0)]
     steps = {"a": (1, 0), "A": (-1, 0), "b": (0, 1), "B": (0, -1)}

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Every subcommand wraps exactly one library operation.  Decision
-commands print a verdict keyword and mirror it in the exit code, so
-shell pipelines need no output parsing: 0 for positive verdicts, 1 for
+Every subcommand wraps exactly one library operation, and its row of
+:data:`_COMMANDS` is its one description: name, help, each argument
+with its ``add_argument`` keywords, and handler, in help listing order.
+Decision commands print a verdict keyword and mirror it in the exit code,
+so shell pipelines need no output parsing: 0 for positive verdicts, 1 for
 negative ones, 2 for unparsable input or violated preconditions.
 
 Braid arguments contain spaces and signs, so quote them and put ``--``
@@ -41,6 +43,17 @@ def _pair(args: argparse.Namespace) -> tuple[FreeWord, FreeWord]:
     return FreeWord.parse(args.u), FreeWord.parse(args.v)
 
 
+def _print_pairs(*pairs: tuple[object, object]) -> int:
+    for u, v in pairs:
+        print("%s %s" % (u, v))
+    return 0
+
+
+def _print_verdict(holds: bool, yes: str, no: str) -> int:
+    print(yes if holds else no)
+    return 0 if holds else 1
+
+
 def _cmd_christoffel(args: argparse.Namespace) -> int:
     word = (
         upper_christoffel_word(args.p, args.q)
@@ -49,8 +62,7 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
     )
     print(word)
     if args.path:
-        for x, y in word_path(word):
-            print("%d %d" % (x, y))
+        _print_pairs(*word_path(word))
     if args.svg is not None:
         with open(args.svg, "w", encoding="ascii") as handle:
             handle.write(path_svg(args.p, args.q, upper=args.upper))
@@ -60,16 +72,13 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
 def _cmd_basis_test(args: argparse.Namespace) -> int:
     u, v = _pair(args)
     verdict = is_basis(u, v)
-    print("BASIS" if verdict.is_basis else "NOT-BASIS")
-    ok = verdict.is_basis
+    code = _print_verdict(verdict.is_basis, "BASIS", "NOT-BASIS")
     if args.oracle:
-        oracle = nielsen_dehn_oracle(u, v)
-        print("oracle %s" % ("BASIS" if oracle else "NOT-BASIS"))
-        ok = ok and oracle
+        code |= _print_verdict(nielsen_dehn_oracle(u, v), "oracle BASIS", "oracle NOT-BASIS")
     if args.trace:
         for record in verdict.trace:
             print(" ".join(["step"] + [str(part) for part in record]))
-    return 0 if ok else 1
+    return code
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
@@ -77,43 +86,14 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     if chain.is_infinite:
         print("INFINITE")
         return 0
-    for u, v in chain.pairs:
-        print("%s %s" % (u, v))
-    return 0
-
-
-def _cmd_palindromize(args: argparse.Namespace) -> int:
-    u, v = palindromize(*_pair(args))
-    print("%s %s" % (u, v))
-    return 0
-
-
-def _cmd_conjugates(args: argparse.Namespace) -> int:
-    for u, v in conjugate_bases(*_pair(args)):
-        print("%s %s" % (u, v))
-    return 0
-
-
-def _cmd_normal_form(args: argparse.Namespace) -> int:
-    u, v = christoffel_normal_form(*_pair(args))
-    print("%s %s" % (u, v))
-    return 0
-
-
-def _cmd_primitive(args: argparse.Namespace) -> int:
-    if is_primitive(FreeWord.parse(args.w)):
-        print("PRIMITIVE")
-        return 0
-    print("NOT-PRIMITIVE")
-    return 1
+    return _print_pairs(*chain.pairs)
 
 
 def _cmd_braid_apply(args: argparse.Namespace) -> int:
     phi = f2_action(BraidWord.parse(args.braid))
-    if args.word is not None:
-        print(phi(FreeWord.parse(args.word)))
-    else:
-        print("%s %s" % (phi.image_a, phi.image_b))
+    if args.word is None:
+        return _print_pairs((phi.image_a, phi.image_b))
+    print(phi(FreeWord.parse(args.word)))
     return 0
 
 
@@ -121,8 +101,7 @@ def _cmd_braid_eq(args: argparse.Namespace) -> int:
     b1 = BraidWord.parse(args.b1)
     b2 = BraidWord.parse(args.b2)
     same = eq_mod_center(b1, b2) if args.mod_center else braid_equal(b1, b2)
-    print("EQUAL" if same else "NOT-EQUAL")
-    return 0 if same else 1
+    return _print_verdict(same, "EQUAL", "NOT-EQUAL")
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -134,11 +113,49 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_relations_check(args: argparse.Namespace) -> int:
-    failed = False
+    code = 0
     for label, ok in relation_suite(args.suite, kmax=args.kmax):
-        print("%s %s" % ("PASS" if ok else "FAIL", label))
-        failed = failed or not ok
-    return 1 if failed else 0
+        code |= _print_verdict(ok, "PASS " + label, "FAIL " + label)
+    return code
+
+
+_PAIR = {"u": {}, "v": {}}
+
+_COMMANDS = (
+    ("christoffel", "Christoffel word for a lattice vector", {
+        "p": {"type": int}, "q": {"type": int},
+        "--upper": {"action": "store_true", "help": "reversed (upper) word"},
+        "--path": {"action": "store_true", "help": "also print the lattice path"},
+        "--svg": {"metavar": "FILE", "help": "write an SVG drawing of the path"},
+    }, _cmd_christoffel),
+    ("basis-test", "decide whether a pair is a basis", {
+        **_PAIR,
+        "--oracle": {"action": "store_true", "help": "cross-check via the commutator"},
+        "--trace": {"action": "store_true", "help": "print normalization steps"},
+    }, _cmd_basis_test),
+    ("chain", "maximal chain of a positive pair", _PAIR, _cmd_chain),
+    ("palindromize", "palindromic conjugate of a basis", _PAIR,
+     lambda args: _print_pairs(palindromize(*_pair(args)))),
+    ("conjugates", "all cyclically reduced conjugate bases", _PAIR,
+     lambda args: _print_pairs(*conjugate_bases(*_pair(args)))),
+    ("normal-form", "Christoffel basis conjugate to a basis", _PAIR,
+     lambda args: _print_pairs(christoffel_normal_form(*_pair(args)))),
+    ("primitive", "test membership in some basis", {"w": {}}, lambda args: _print_verdict(
+        is_primitive(FreeWord.parse(args.w)), "PRIMITIVE", "NOT-PRIMITIVE")),
+    ("braid-apply", "automorphism induced by a braid", {
+        "braid": {},
+        "--word": {"help": "apply to one word instead of printing images"},
+    }, _cmd_braid_apply),
+    ("braid-eq", "equality of two braids", {
+        "b1": {}, "b2": {},
+        "--mod-center": {"action": "store_true", "help": "compare modulo the center"},
+    }, _cmd_braid_eq),
+    ("decompose", "standard decomposition of a positive basis", _PAIR, _cmd_decompose),
+    ("relations-check", "run one relation suite", {
+        "suite": {"choices": SUITE_NAMES},
+        "--kmax": {"type": int, "default": 8, "help": "largest exponent to try"},
+    }, _cmd_relations_check),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,67 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Free group bases, Christoffel words, and braid actions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("christoffel", help="Christoffel word for a lattice vector")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--upper", action="store_true", help="reversed (upper) word")
-    p.add_argument("--path", action="store_true", help="also print the lattice path")
-    p.add_argument("--svg", metavar="FILE", help="write an SVG drawing of the path")
-    p.set_defaults(func=_cmd_christoffel)
-
-    p = sub.add_parser("basis-test", help="decide whether a pair is a basis")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("--oracle", action="store_true", help="cross-check via the commutator")
-    p.add_argument("--trace", action="store_true", help="print normalization steps")
-    p.set_defaults(func=_cmd_basis_test)
-
-    p = sub.add_parser("chain", help="maximal chain of a positive pair")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("palindromize", help="palindromic conjugate of a basis")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(func=_cmd_palindromize)
-
-    p = sub.add_parser("conjugates", help="all cyclically reduced conjugate bases")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(func=_cmd_conjugates)
-
-    p = sub.add_parser("normal-form", help="Christoffel basis conjugate to a basis")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(func=_cmd_normal_form)
-
-    p = sub.add_parser("primitive", help="test membership in some basis")
-    p.add_argument("w")
-    p.set_defaults(func=_cmd_primitive)
-
-    p = sub.add_parser("braid-apply", help="automorphism induced by a braid")
-    p.add_argument("braid")
-    p.add_argument("--word", help="apply to one word instead of printing images")
-    p.set_defaults(func=_cmd_braid_apply)
-
-    p = sub.add_parser("braid-eq", help="equality of two braids")
-    p.add_argument("b1")
-    p.add_argument("b2")
-    p.add_argument("--mod-center", action="store_true", help="compare modulo the center")
-    p.set_defaults(func=_cmd_braid_eq)
-
-    p = sub.add_parser("decompose", help="standard decomposition of a positive basis")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("relations-check", help="run one relation suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--kmax", type=int, default=8, help="largest exponent to try")
-    p.set_defaults(func=_cmd_relations_check)
-
+    for name, summary, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for argument, options in arguments.items():
+            p.add_argument(argument, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -19,6 +19,7 @@ from ranktwo.braids import (
     _STEPS,
     IMAGE_LETTER_LIMIT,
     KMAX_LIMIT,
+    NORMAL_FORM_LETTER_LIMIT,
     SUITE_NAMES,
     BraidWord,
     ExtBraid,
@@ -467,6 +468,25 @@ def test_equality_agrees_with_the_image_oracle_on_seeded_pairs():
     assert central >= 150, central
 
 
+def test_a_word_past_the_normal_form_limit_fails_fast():
+    too_long = BraidWord(4, (1, -2) * (NORMAL_FORM_LETTER_LIMIT // 2) + (1,))
+    short = BraidWord(4, (1, 2))
+    start = time.perf_counter()
+    for compare in (braid_equal, eq_mod_center):
+        for pair in ((too_long, short), (short, too_long)):
+            with pytest.raises(ValueError, match="more than %d letters" % NORMAL_FORM_LETTER_LIMIT):
+                compare(*pair)
+    with pytest.raises(ValueError, match="more than %d letters" % NORMAL_FORM_LETTER_LIMIT):
+        ExtBraid(too_long).equal_mod_center(ExtBraid(short))
+    assert time.perf_counter() - start < 0.01
+
+
+def test_the_worst_case_at_the_normal_form_limit_still_compares():
+    n = NORMAL_FORM_LETTER_LIMIT // 2
+    assert NORMAL_FORM_LETTER_LIMIT == 8192
+    assert braid_equal(BraidWord(4, (1,) * n + (-1,) * n), BraidWord(4))
+
+
 def test_long_words_compare_without_building_images():
     rng = random.Random(300)
     letters = tuple(rng.choice(_LETTERS_4) for _ in range(300))
@@ -700,6 +720,9 @@ def test_suite_registry():
     for name in ("eq2.3-2.4", "lemma1.1"):
         with pytest.raises(ValueError, match="kmax must be at most 256"):
             relation_suite(name, kmax=KMAX_LIMIT + 1)
+        for kmax in (2.5, "3", None, True):
+            with pytest.raises(ValueError, match="kmax must be an integer"):
+                relation_suite(name, kmax=kmax)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

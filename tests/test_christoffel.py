@@ -166,6 +166,8 @@ def test_extremal_letters():
 def test_word_path():
     assert word_path(FreeWord("ab")) == ((0, 0), (1, 0), (1, 1))
     assert word_path(FreeWord("aB")) == ((0, 0), (1, 0), (1, -1))
+    with pytest.raises(ValueError, match="rank 2 only"):
+        word_path(FreeWord("abc", rank=3))
     path = christoffel_path(5, 2)
     assert len(path) == 8
     assert path == (

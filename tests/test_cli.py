@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from ranktwo import braids
-from ranktwo.cli import main
+from ranktwo.cli import _COMMANDS, main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+# the order of the top-level help listing is part of the output
+NAMES = [
+    "christoffel", "basis-test", "chain", "palindromize", "conjugates", "normal-form",
+    "primitive", "braid-apply", "braid-eq", "decompose", "relations-check",
+]
 
 
 def run(capsys, *argv):
@@ -161,6 +168,9 @@ def test_braid_eq(capsys):
     assert code == 1 and out == "NOT-EQUAL\n"
     code, out, _ = run(capsys, "braid-eq", "--", "-1 2", "2 -1")
     assert code == 1 and out == "NOT-EQUAL\n"
+    # a word past the normal form's letter limit is refused at once
+    code, out, err = run(capsys, "braid-eq", " ".join(["1"] * 8193), "")
+    assert (code, out, err) == (2, "", "error: cannot compare braids of more than 8192 letters\n")
 
 
 def test_braid_eq_mod_center(capsys):
@@ -192,8 +202,7 @@ def test_braid_letter_four(capsys):
 
 def test_readme_session(capsys):
     # every `$ ranktwo ...` command of the README prints what follows it there
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    session = readme.split("```sh\n$ ranktwo ", 1)[1].split("```", 1)[0]
+    session = README.split("```sh\n$ ranktwo ", 1)[1].split("```", 1)[0]
     commands = ("ranktwo " + session).split("$ ")
     assert len(commands) == 9
     for block in commands:
@@ -247,3 +256,31 @@ def test_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_subcommand_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ranktwo %s " % name)
+
+
+def test_help_lists_the_subcommands_in_table_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.split("positional arguments:\n", 1)[1].splitlines()[1:12]
+    assert [line.split()[0] for line in listed] == NAMES == [row[0] for row in _COMMANDS]
+
+
+def test_readme_synopsis_matches_the_table():
+    # the README's "Command line" synopsis: one line per subcommand, in table order
+    synopsis = README.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    assert [line.split()[1] for line in synopsis] == NAMES
+    for line, (_, _, arguments, _) in zip(synopsis, _COMMANDS):
+        words = line.split()[2:]
+        flags = [word.strip("[]") for word in words if word.startswith("[--")]
+        positionals = [word for word in words if word[0] != "[" and word[-1] != "]"]
+        assert flags == [name for name in arguments if name.startswith("--")], line
+        assert len(positionals) == sum(not name.startswith("--") for name in arguments), line
