@@ -9,22 +9,23 @@ braids is decided by the Garside left normal form Delta^p A1 ... Ar,
 whose factors are permutation braids (Garside 1969; Thurston in Epstein
 et al., *Word Processing in Groups*, ch. 9): two words are equal exactly
 when their normal forms are, and the form costs O(L^2) table lookups in
-the word length L.  Each letter is a power of Delta and one or two
-simple factors.  Since Delta^-1 a Delta = tau(a) for an involution tau
-that commutes with products, meets and complements, the factors are kept
-as tau^p of themselves, so a Delta power costs nothing, and one tau pass
-at the end undoes an odd p.  The faithful action on a free group of the
-same rank, :func:`artin_action`, stays as an independent oracle:
-generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, and a
-word acts by composing the generator actions left to right, the same
-convention as for morphisms.  Each letter rebuilds only the images its
-generator moves, joining old images one seam at a time, and two reduced
-words cancel only at their seam: a letter costs O(log seam) interpreted
-steps per join plus the C copying of the images it moves.  In the
-rank-two action :func:`f2_action` every letter moves one image, the join
-of two old ones, so a letter is one table row and one join.  Those
-images grow exponentially with the word, so every free-group image is
-capped at
+the word length L at worst.  Each letter is a power of Delta and one or
+two simple factors.  The word is read right to left, each letter
+multiplying the form on the left.  Since f Delta^p = Delta^p tau^p(f) for
+an involution tau, each factor enters behind the Delta power as tau^p of
+itself, so a Delta power costs nothing.  The faithful action on a free
+group of the same rank, :func:`artin_action`, stays as an independent
+oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i,
+and a word acts by composing the generator actions left to right, the
+same convention as for morphisms.  Each letter rebuilds only the images
+its generator moves, joining old images one seam at a time, and two
+reduced words cancel only at their seam: a letter costs O(log seam)
+interpreted steps per join plus the C copying of the images it moves.
+In the rank-two action :func:`f2_action` every letter moves one image,
+the product of two old ones.  The images are kept with their inverses,
+so a letter is one table row, one common prefix and two concatenations,
+and inverts nothing.  Those images grow exponentially with the word, so
+every free-group image is capped at
 :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
 
 :meth:`BraidWord.expand` still writes 4 out as its five letters, for the
@@ -52,7 +53,7 @@ from .morphisms import (
     is_special_sturmian,
     _power,
 )
-from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _inverted, _joined
+from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _inverted, _joined
 
 # sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
 _EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
@@ -299,9 +300,11 @@ _STEPS = {n: _steps(tables) for n, tables in _GARSIDE.items()}
 NORMAL_FORM_LETTER_LIMIT = 2 ** 13
 """The most letters of a word that :func:`braid_equal` and :func:`eq_mod_center` compare.
 
-The normal form is quadratic at worst: at 8,192 letters 1^n (-1)^n takes
-0.85 s and (1 -2)^n 0.74 s, 3.7 and 3.8 s at 16,384 (2-vCPU VM; a random
-word of 8,192 letters takes 2 ms), so a longer word raises ValueError.
+The normal form is quadratic at worst: at 8,192 letters 4^n (-2)^n, the
+slowest family known, takes 2.2 to 2.9 s, since each factor of each 4 is
+carried past every factor of (-2)^n, and (1 4 4)^n takes 1.4 to 1.8 s
+(2-vCPU VM; a random word of 8,192 letters takes 5 ms, and 1^n (-1)^n
+3 ms), so a longer word raises ValueError.
 """
 
 
@@ -310,9 +313,14 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
 
     Each factor indexes the permutation braids of :func:`_garside_tables`;
     none is Delta or the identity, and each pair is left-weighted:
-    the meet of A(k-1)^-1 Delta and A(k) is the identity.  A letter adds
-    its precomputed Delta power to p and appends its simple factors one
-    at a time, each bubbled left by one row lookup in :data:`_STEPS` per step.
+    the meet of A(k-1)^-1 Delta and A(k) is the identity.  The word is
+    read right to left, and each letter left-multiplies the form by its
+    simple factors, last first, then by its precomputed Delta power.  A
+    factor f enters behind Delta^p as x = tau^p(f), since f Delta^p =
+    Delta^p tau^p(f), and is carried right by one row lookup in
+    :data:`_STEPS` per step (Thurston's left multiplication).  Only the
+    front factor can become Delta, and it joins p; a carry that becomes
+    the identity leaves the rest of the form as it was.
     """
     if len(w) > NORMAL_FORM_LETTER_LIMIT:
         raise ValueError("cannot compare braids of more than %d letters" % NORMAL_FORM_LETTER_LIMIT)
@@ -320,30 +328,32 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     steps = _STEPS[w.strands]
     identity = size - 1
     p = 0
-    # A1 ... Ar Delta^q = Delta^q tau^q(A1) ... tau^q(Ar), and tau commutes
-    # with products, meets and complements, so the factors are kept as
-    # tau^p of themselves and a letter's Delta power only moves p
-    factors: list[int] = []
-    for letter in w.letters:
+    # Ar ... A1 above the identity, which no factor steps past, so a carry
+    # stops without a bounds test; a carry is stored only where it stops
+    rev = [identity]
+    for letter in reversed(w.letters):
         power, simple = letters[letter]
-        p += power
-        for f in simple:
-            factors.append(tau[f] if p & 1 else f)
-            k = len(factors) - 1
-            while k:
-                step = steps[factors[k - 1]][factors[k]]
-                if step is None:
-                    break
-                factors[k - 1], factors[k] = step
+        for f in reversed(simple):
+            # the twist is per factor: a Delta formed by the factor after
+            # this one (in the word) has already moved p
+            x = tau[f] if p & 1 else f
+            k = len(rev)
+            rev.append(x)
+            while True:
                 k -= 1
-            while factors and factors[-1] == identity:
-                factors.pop()
-    if p & 1:
-        factors = [tau[a] for a in factors]
-    lead = 0
-    while lead < len(factors) and factors[lead] == 0:
-        lead += 1
-    return p + lead, tuple(factors[lead:])
+                step = steps[x][rev[k]]
+                if not step:
+                    rev[k + 1] = x
+                    break
+                rev[k + 1], x = step
+                if x == identity:
+                    del rev[k]
+                    break
+            if not rev[-1]:  # Delta, index 0, can only form at the front
+                rev.pop()
+                p += 1
+        p += power
+    return p, tuple(rev[:0:-1])
 
 
 # the letter table gets sigma_4 and its inverse, each Delta^-1 times two factors
@@ -435,9 +445,11 @@ _F2_ACTION = {
 }
 _add_fourth(_F2_ACTION)
 # each letter moves one image i to the join of images j and l, each
-# inverted when its flag says so; the unpacking checks that shape at import
+# inverted when its flag says so; the unpacking checks that shape at import.
+# A row names slots of the images of a, b, a^-1 and b^-1 (slot s inverted is
+# s ^ 2): the moved one, then each piece, each followed by its inverse
 _F2_ACTION_RULES = {
-    letter: (i, j, inv_j, l, inv_l)
+    letter: (i, i + 2, j + 2 * inv_j, j + 2 * (not inv_j), l + 2 * inv_l, l + 2 * (not inv_l))
     for letter, ((i, ((j, inv_j), (l, inv_l))),) in _seam_rules(_F2_ACTION).items()
 }
 
@@ -446,15 +458,23 @@ def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt.
 
     The letters compose left to right as in :func:`_composed`, each by
-    one row of :data:`_F2_ACTION_RULES` and one join.
+    one row of :data:`_F2_ACTION_RULES`: the image x y cancels as far as
+    x^-1 and y share a prefix, and it and its inverse y^-1 x^-1 are two
+    concatenations.
     """
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
-    images = ["a", "b"]
+    images = ["a", "b", "A", "B"]
     for letter in w.letters:
-        i, j, inv_j, l, inv_l = _F2_ACTION_RULES[letter]
-        x, y = images[j], images[l]
-        images[i] = _joined(_inverted(x) if inv_j else x, _inverted(y) if inv_l else y)
+        i, i_inv, s, s_inv, t, t_inv = _F2_ACTION_RULES[letter]
+        x, xi, y, yi = images[s], images[s_inv], images[t], images[t_inv]
+        if xi[0] == y[0]:
+            k = _common_prefix(xi, y)
+            images[i] = x[: len(x) - k] + y[k:]
+            images[i_inv] = yi[: len(yi) - k] + xi[k:]
+        else:
+            images[i] = x + y
+            images[i_inv] = yi + xi
         if len(images[0]) + len(images[1]) > IMAGE_LETTER_LIMIT:
             raise ValueError(_IMAGE_TOO_LONG)
     return F2Morphism._make((FreeWord._make(images[0]), FreeWord._make(images[1])))

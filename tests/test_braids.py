@@ -325,6 +325,86 @@ def _reference_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     return p + lead, tuple(factors[lead:])
 
 
+def _right_appending_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """The left normal form by right multiplication: each letter adds its
+    Delta power to p and appends its simple factors, twisted by tau^p, each
+    bubbled left; one tau pass undoes an odd p and leading Deltas join it.
+    Kept as an oracle for the left multiplication in _normal_form, which
+    reads the same step tables the other way."""
+    size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
+    steps = _STEPS[w.strands]
+    identity = size - 1
+    p = 0
+    factors: list[int] = []
+    for letter in w.letters:
+        power, simple = letters[letter]
+        p += power
+        for f in simple:
+            factors.append(tau[f] if p & 1 else f)
+            k = len(factors) - 1
+            while k:
+                step = steps[factors[k - 1]][factors[k]]
+                if step is None:
+                    break
+                factors[k - 1], factors[k] = step
+                k -= 1
+            while factors and factors[-1] == identity:
+                factors.pop()
+    if p & 1:
+        factors = [tau[a] for a in factors]
+    lead = 0
+    while lead < len(factors) and factors[lead] == 0:
+        lead += 1
+    return p + lead, tuple(factors[lead:])
+
+
+def _front_delta_between_factors(letters: tuple[int, ...]) -> bool:
+    """Whether left-multiplying the normal form of letters[1:] by the second
+    factor of letters[0], a 4 or -4, forms a Delta at the front, so that the
+    first factor enters under the other twist.  The twisted factor x makes
+    Delta with the first factor A1 exactly when x^-1 Delta left-divides A1."""
+    size, _, _, comp, tau, meet, table = _GARSIDE[4]
+    _, (_, second) = table[letters[0]]
+    p, factors = _normal_form(BraidWord(4, letters[1:]))
+    x = tau[second] if p & 1 else second
+    return bool(factors) and meet[comp[x] * size + factors[0]] == comp[x]
+
+
+def test_normal_form_matches_both_oracles_where_left_multiplication_branches():
+    rng = random.Random(1930)
+    words = []
+    for strands, alphabet in ((3, (1, 2, -1, -2)), (4, _LETTERS_4)):
+        # every periodic word of period at most 3, at 200 letters: the runs
+        # whose carries pass every earlier factor, or cancel all of them
+        for n in (1, 2, 3):
+            words += [BraidWord(strands, (period * 200)[:200]) for period in product(alphabet, repeat=n)]
+        # w w^-1 and w^-1 w, where every carry ends at the identity
+        for _ in range(100):
+            w = BraidWord(strands, [rng.choice(alphabet) for _ in range(rng.randint(1, 150))])
+            for cancelling in (w * w.inverse(), w.inverse() * w):
+                assert _normal_form(cancelling) == (0, ()), w
+                words.append(cancelling)
+    # a Delta formed at the front between the two factors of a 4 or -4, as
+    # the first letter of a short word and inside seeded long ones
+    between = [
+        (first,) + rest
+        for first in (4, -4)
+        for n in range(4)
+        for rest in product(_LETTERS_4, repeat=n)
+        if _front_delta_between_factors((first,) + rest)
+    ]
+    assert len(between) >= 400, len(between)
+    words += [BraidWord(4, letters) for letters in between]
+    inside = 0
+    for _ in range(200):
+        letters = tuple(rng.choice(_LETTERS_4) for _ in range(rng.randint(2, 80)))
+        inside += sum(abs(l) == 4 and _front_delta_between_factors(letters[i:]) for i, l in enumerate(letters))
+        words.append(BraidWord(4, letters))
+    assert inside >= 700, inside
+    for w in words:
+        assert _normal_form(w) == _reference_normal_form(w) == _right_appending_normal_form(w), w
+
+
 def test_normal_form_matches_the_rewrite_at_every_negative_letter():
     words = [BraidWord(4, (1,) + (-2,) * k + (3,)) for k in (1, 5, 50, 200)]
     rng = random.Random(1992)
@@ -484,7 +564,23 @@ def test_a_word_past_the_normal_form_limit_fails_fast():
 def test_the_worst_case_at_the_normal_form_limit_still_compares():
     n = NORMAL_FORM_LETTER_LIMIT // 2
     assert NORMAL_FORM_LETTER_LIMIT == 8192
-    assert braid_equal(BraidWord(4, (1,) * n + (-1,) * n), BraidWord(4))
+    # read right to left, each factor of these stops at the identity or at
+    # the first factor it meets, so they take linear time; sigma_4 is
+    # delta sigma_3 delta^-1, and it commutes with sigma_2
+    linear = {
+        "1^n (-1)^n": ((1,) * n + (-1,) * n, (), True),
+        "(-1)^n 1^n": ((-1,) * n + (1,) * n, (), True),
+        "4^2n": ((4,) * 2 * n, (4,) * (2 * n - 1) + (3,), False),
+        "4^(2n-6)": ((4,) * (2 * n - 6), (1, 2, 3) + (3,) * (2 * n - 6) + (-3, -2, -1), True),
+        "(-2)^n 4^n": ((-2,) * n + (4,) * n, (-2,) * (n - 1) + (4,) * n + (-2,), True),
+    }
+    for name, (x, y, same) in linear.items():
+        start = time.perf_counter()
+        assert braid_equal(BraidWord(4, x), BraidWord(4, y)) == same, name
+        assert time.perf_counter() - start < 0.1, name
+    # the slowest family known: every factor of each 4 is carried past all
+    # of (-2)^n, which takes seconds, not minutes
+    assert braid_equal(BraidWord(4, (4,) * n + (-2,) * n), BraidWord(4, (-2,) * n + (4,) * n))
 
 
 def test_long_words_compare_without_building_images():
@@ -585,6 +681,24 @@ def test_f2_action_on_generators():
     assert f2_action(BraidWord(4, (4,))) == generator_inverse("Dt")
     assert f2_action(BraidWord(4, (-4,))) == generator("Dt")
     assert f2_action(BraidWord(4)) == F2Morphism.identity()
+
+
+def test_f2_action_matches_the_composition_on_seeded_long_words():
+    # the exhaustive comparison stops at 4 or 5 letters, short of the long
+    # images whose seams cancel far; w w^-1 cancels at every seam of its
+    # second half
+    rng = random.Random(1936)
+    compared = 0
+    for _ in range(300):
+        w = BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(rng.randint(5, 36))])
+        try:
+            expected = _reference_composed(2, _F2_ACTION, w.expand().letters)
+        except ValueError:
+            continue  # past the letter limit, which the bisecting test covers
+        assert f2_action(w) == expected, w
+        assert f2_action(w * w.inverse()) == F2Morphism.identity(), w
+        compared += 1
+    assert compared >= 250, compared
 
 
 def test_f2_action_is_homomorphism():
