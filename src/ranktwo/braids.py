@@ -28,6 +28,10 @@ and inverts nothing.  Those images grow exponentially with the word, so
 every free-group image is capped at
 :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
 
+A comparison first cancels the common prefix and suffix of its two
+words: P x S and P y S are equal exactly when x and y are, so only the
+normal forms of the differing middles are built, and the cost is theirs.
+
 :meth:`BraidWord.expand` still writes 4 out as its five letters, for the
 mirror :func:`omega` and :func:`to_b3`.  :class:`ExtBraid` adjoins the
 mirror involution w as a semidirect Z/2 factor, elements being written
@@ -304,7 +308,9 @@ The normal form is quadratic at worst: at 8,192 letters 4^n (-2)^n, the
 slowest family known, takes 2.2 to 2.9 s, since each factor of each 4 is
 carried past every factor of (-2)^n, and (1 4 4)^n takes 1.4 to 1.8 s
 (2-vCPU VM; a random word of 8,192 letters takes 5 ms, and 1^n (-1)^n
-3 ms), so a longer word raises ValueError.
+3 ms), so a longer word raises ValueError.  The limit counts the letters
+of each word as given, before the common ends are cancelled, so whether
+a word is refused does not depend on the word it is compared with.
 """
 
 
@@ -322,8 +328,6 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     front factor can become Delta, and it joins p; a carry that becomes
     the identity leaves the rest of the form as it was.
     """
-    if len(w) > NORMAL_FORM_LETTER_LIMIT:
-        raise ValueError("cannot compare braids of more than %d letters" % NORMAL_FORM_LETTER_LIMIT)
     size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
     steps = _STEPS[w.strands]
     identity = size - 1
@@ -360,11 +364,40 @@ def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
 _GARSIDE[4][6].update({l: _normal_form(BraidWord._make(4, e)) for l, e in _EXPANSIONS.items()})
 
 
+def _middle_forms(w1: BraidWord, w2: BraidWord) -> tuple[tuple, tuple]:
+    """The normal forms of the two words with their common prefix and suffix removed.
+
+    The words must have the same strand count.  The suffix is taken from
+    what the prefix leaves of the shorter word, so 1 1 1 against 1 1
+    leaves 1 against the empty word.
+    """
+    a, b = w1.letters, w2.letters
+    if max(len(a), len(b)) > NORMAL_FORM_LETTER_LIMIT:
+        raise ValueError("cannot compare braids of more than %d letters" % NORMAL_FORM_LETTER_LIMIT)
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < n - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return (
+        _normal_form(BraidWord._make(w1.strands, a[i : len(a) - j])),
+        _normal_form(BraidWord._make(w1.strands, b[i : len(b) - j])),
+    )
+
+
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Equality in the braid group, by comparing left normal forms."""
+    """Equality in the braid group.
+
+    P x S and P y S are the same braid exactly when x and y are, so the
+    left normal forms compared are those of the differing middles x and y;
+    the cost is theirs, not that of the whole words.
+    """
     if w1.strands != w2.strands:
         raise ValueError("cannot compare braids on different strand counts")
-    return _normal_form(w1) == _normal_form(w2)
+    form1, form2 = _middle_forms(w1, w2)
+    return form1 == form2
 
 
 def eq_mod_center(w1: BraidWord, w2: BraidWord) -> bool:
@@ -374,11 +407,13 @@ def eq_mod_center(w1: BraidWord, w2: BraidWord) -> bool:
     multiplying by it adds 2 to the Delta power of the left normal form
     and leaves the factors alone.  So the braids agree modulo the center
     exactly when their factors agree and their Delta powers differ by an
-    even number.
+    even number.  For z central, P x S = P y S z exactly when x = y z, so,
+    as in :func:`braid_equal`, only the differing middles x and y are
+    compared.
     """
     if w1.strands != 4 or w2.strands != 4:
         raise ValueError("equality modulo the center applies to four-strand braids")
-    (p1, factors1), (p2, factors2) = _normal_form(w1), _normal_form(w2)
+    (p1, factors1), (p2, factors2) = _middle_forms(w1, w2)
     return factors1 == factors2 and (p1 - p2) % 2 == 0
 
 

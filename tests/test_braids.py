@@ -548,16 +548,88 @@ def test_equality_agrees_with_the_image_oracle_on_seeded_pairs():
     assert central >= 150, central
 
 
+@pytest.mark.parametrize("strands, alphabet", [(3, (1, 2, -1, -2)), (4, _LETTERS_4)])
+def test_comparisons_cancel_common_ends_as_the_whole_normal_forms_say(strands, alphabet):
+    rng = random.Random(1712 + strands)
+
+    def word(most: int) -> tuple[int, ...]:
+        return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, most)))
+
+    # common prefix and suffix that overlap in the shorter word
+    pairs = [((1, 1, 1), (1, 1)), ((1, 2, 1), (1, 1)), ((2, 1, 2), (2, 2)), ((1, 2, 1, 2), (1, 2))]
+    for _ in range(600):
+        x = word(5)
+        # y empty, equal to x, extending x at either end, or unrelated
+        y = rng.choice(((), x, x + word(3), word(3) + x, word(5)))
+        if strands == 4 and rng.random() < 0.3:
+            k = rng.randint(0, len(y))
+            y = y[:k] + rng.choice(((1, 2, 3) * 4, (-3, -2, -1) * 4)) + y[k:]
+        prefix, suffix = word(6), word(6)
+        pairs.append((prefix + x + suffix, prefix + y + suffix))
+    seen = {"equal": 0, "central": 0, "images": 0}
+    for a, b in pairs:
+        w1, w2 = BraidWord(strands, a), BraidWord(strands, b)
+        (p1, factors1), (p2, factors2) = _normal_form(w1), _normal_form(w2)
+        same = (p1, factors1) == (p2, factors2)
+        assert braid_equal(w1, w2) == braid_equal(w2, w1) == same, (a, b)
+        if max(len(a), len(b)) <= 8:
+            assert _oracle_equal(w1, w2) == same, (a, b)
+            seen["images"] += 1
+        seen["equal"] += same
+        if strands == 3:
+            continue
+        mod_center = factors1 == factors2 and (p1 - p2) % 2 == 0
+        assert eq_mod_center(w1, w2) == eq_mod_center(w2, w1) == mod_center, (a, b)
+        if max(len(a), len(b)) <= 8:
+            assert _oracle_eq_mod_center(w1, w2) == mod_center, (a, b)
+        for flag in (0, 1):
+            e1, e2 = ExtBraid(w1, flag), ExtBraid(w2, flag)
+            assert e1.equal(e2) == e2.equal(e1) == same, (a, b, flag)
+            assert e1.equal_mod_center(e2) == e2.equal_mod_center(e1) == mod_center, (a, b, flag)
+        seen["central"] += mod_center and not same
+    assert seen["equal"] >= 100 and seen["images"] >= 100, seen
+    assert strands == 3 or seen["central"] >= 50, seen
+
+
+def test_only_the_differing_middles_reach_the_normal_form(monkeypatch):
+    met = []
+
+    def recording(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+        met.append(w.letters)
+        return _normal_form(w)
+
+    monkeypatch.setattr("ranktwo.braids._normal_form", recording)
+    for a, b, middles in (
+        ((1, 1, 1), (1, 1), [(1,), ()]),
+        ((1, 2, 1), (1, 1), [(2,), ()]),
+        ((1, 1), (1, 2, 1), [(), (2,)]),
+        ((1, 2), (1, 2, 2, 1, 2), [(), (2, 1, 2)]),
+        ((4, 1, 2, -3), (4, -1, 2, -3), [(1,), (-1,)]),
+        ((4, -2, 3), (4, -2, 3), [(), ()]),
+        ((1, 2, 3), (3, 2, 1), [(1, 2, 3), (3, 2, 1)]),
+    ):
+        for compare in (braid_equal, eq_mod_center):
+            met.clear()
+            compare(BraidWord(4, a), BraidWord(4, b))
+            assert met == middles, (a, b, compare)
+
+
 def test_a_word_past_the_normal_form_limit_fails_fast():
     too_long = BraidWord(4, (1, -2) * (NORMAL_FORM_LETTER_LIMIT // 2) + (1,))
     short = BraidWord(4, (1, 2))
+    # the limit counts the words as given: against short, itself and
+    # longer, too_long leaves a middle of exactly 8,192 letters, none, or one
+    longer = too_long * BraidWord(4, (3,))
+    pairs = ((too_long, short), (short, too_long), (too_long, too_long), (too_long, longer), (longer, too_long))
     start = time.perf_counter()
     for compare in (braid_equal, eq_mod_center):
-        for pair in ((too_long, short), (short, too_long)):
+        for pair in pairs:
             with pytest.raises(ValueError, match="more than %d letters" % NORMAL_FORM_LETTER_LIMIT):
                 compare(*pair)
-    with pytest.raises(ValueError, match="more than %d letters" % NORMAL_FORM_LETTER_LIMIT):
-        ExtBraid(too_long).equal_mod_center(ExtBraid(short))
+    for compare in (ExtBraid.equal, ExtBraid.equal_mod_center):
+        for other in (short, too_long, longer):
+            with pytest.raises(ValueError, match="more than %d letters" % NORMAL_FORM_LETTER_LIMIT):
+                compare(ExtBraid(too_long), ExtBraid(other))
     assert time.perf_counter() - start < 0.01
 
 
@@ -577,6 +649,24 @@ def test_the_worst_case_at_the_normal_form_limit_still_compares():
     for name, (x, y, same) in linear.items():
         start = time.perf_counter()
         assert braid_equal(BraidWord(4, x), BraidWord(4, y)) == same, name
+        assert time.perf_counter() - start < 0.1, name
+        # a comparison cancels common ends, so time each whole word's form too
+        for side in (x, y):
+            start = time.perf_counter()
+            _normal_form(BraidWord(4, side))
+            assert time.perf_counter() - start < 0.1, name
+    # the slowest family as the common ends of two words that differ in a
+    # letter or two: only those letters reach the normal form
+    slow = (4,) * (n - 1) + (-2,) * (n - 1)
+    ends = {
+        "4^n (-2)^n, its middle letter flipped": ((4,) * n + (-2,) * n, (4,) * n + (2,) + (-2,) * (n - 1), False),
+        "1 S against 2 S": ((1,) + slow, (2,) + slow, False),
+        "S 1 3 against S 3 1": (slow + (1, 3), slow + (3, 1), True),
+    }
+    for name, (x, y, same) in ends.items():
+        start = time.perf_counter()
+        assert braid_equal(BraidWord(4, x), BraidWord(4, y)) == same, name
+        assert eq_mod_center(BraidWord(4, x), BraidWord(4, y)) == same, name
         assert time.perf_counter() - start < 0.1, name
     # the slowest family known: every factor of each 4 is carried past all
     # of (-2)^n, which takes seconds, not minutes

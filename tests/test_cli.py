@@ -169,8 +169,13 @@ def test_braid_eq(capsys):
     code, out, _ = run(capsys, "braid-eq", "--", "-1 2", "2 -1")
     assert code == 1 and out == "NOT-EQUAL\n"
     # a word past the normal form's letter limit is refused at once
-    code, out, err = run(capsys, "braid-eq", " ".join(["1"] * 8193), "")
-    assert (code, out, err) == (2, "", "error: cannot compare braids of more than 8192 letters\n")
+    # the limit counts the words as given, not the middles left once
+    # their common ends cancel
+    too_long = " ".join(["1"] * 8193)
+    for other in ("", too_long, too_long + " 2"):
+        for flags in ((), ("--mod-center",)):
+            code, out, err = run(capsys, "braid-eq", too_long, other, *flags)
+            assert (code, out, err) == (2, "", "error: cannot compare braids of more than 8192 letters\n")
 
 
 def test_braid_eq_mod_center(capsys):
