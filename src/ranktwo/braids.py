@@ -4,7 +4,8 @@ A braid word is a sequence of nonzero generator indices, negative for
 inverses.  On four strands the index 4 is the paper's fourth letter,
 the conjugate sigma_4 = delta sigma_3 delta^-1, and every computation
 reads it as one letter, through tables built at import from its
-expansion sigma_3^-1 sigma_2^-1 sigma_1 sigma_2 sigma_3.  Equality of
+expansion sigma_3^-1 sigma_2^-1 sigma_1 sigma_2 sigma_3; in the rank-two
+action it is Dt^-1, by the paper's realization.  Equality of
 braids is decided by the Garside left normal form Delta^p A1 ... Ar,
 whose factors are permutation braids (Garside 1969; Thurston in Epstein
 et al., *Word Processing in Groups*, ch. 9): two words are equal exactly
@@ -178,12 +179,6 @@ def _artin_generator(rank: int, letter: int) -> F2Morphism:
     return F2Morphism(*(FreeWord(s, rank) for s in images))
 
 
-def _add_fourth(table: dict[int, F2Morphism]) -> None:
-    """Add 4 and -4 to a table of generator morphisms, each the product of its expansion."""
-    for letter, expansion in _EXPANSIONS.items():
-        table[letter] = reduce(operator.mul, (table[l] for l in expansion))
-
-
 _ARTIN = {
     rank: {
         letter: _artin_generator(rank, letter)
@@ -192,7 +187,7 @@ _ARTIN = {
     }
     for rank in (3, 4)
 }
-_add_fourth(_ARTIN[4])
+_ARTIN[4].update({l: reduce(operator.mul, map(_ARTIN[4].get, e)) for l, e in _EXPANSIONS.items()})
 
 
 def _seam_rules(table: dict[int, F2Morphism]) -> dict[int, tuple]:
@@ -437,7 +432,7 @@ class ExtBraid:
             braid = BraidWord(4)
         if braid.strands != 4:
             raise ValueError("extended elements carry four-strand braids")
-        if flag not in (0, 1):
+        if not isinstance(flag, int) or flag not in (0, 1):
             raise ValueError("flag must be 0 or 1")
         self.braid = braid
         self.flag = flag
@@ -470,15 +465,12 @@ class ExtBraid:
         return self.flag == other.flag and eq_mod_center(self.braid, other.braid)
 
 
+_EMBED = {"G": 1, "Gt": 3, "D": -2, "Dt": -4}
 _F2_ACTION = {
-    1: generator("G"),
-    -1: generator_inverse("G"),
-    2: generator_inverse("D"),
-    -2: generator("D"),
-    3: generator("Gt"),
-    -3: generator_inverse("Gt"),
+    sign * letter: act(name)
+    for name, letter in _EMBED.items()
+    for sign, act in ((1, generator), (-1, generator_inverse))
 }
-_add_fourth(_F2_ACTION)
 # each letter moves one image i to the join of images j and l, each
 # inverted when its flag says so; the unpacking checks that shape at import.
 # A row names slots of the images of a, b, a^-1 and b^-1 (slot s inverted is
@@ -490,7 +482,7 @@ _F2_ACTION_RULES = {
 
 
 def f2_action(w: BraidWord) -> F2Morphism:
-    """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt.
+    """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt, 4 -> Dt^-1.
 
     The letters compose left to right as in :func:`_composed`, each by
     one row of :data:`_F2_ACTION_RULES`: the image x y cancels as far as
@@ -548,9 +540,6 @@ def to_b3(w: BraidWord) -> BraidWord:
 def acts_by_inner(w: BraidWord) -> bool:
     """True when the rank-two action of the braid is an inner automorphism."""
     return gl2_image(w) == Mat2.identity()
-
-
-_EMBED = {"G": 1, "Gt": 3, "D": -2, "Dt": -4}
 
 
 def embed_sturmian(word: SturmianWord) -> BraidWord:

@@ -249,26 +249,17 @@ def inner(w: FreeWord) -> F2Morphism:
 def inner_witness(phi: F2Morphism) -> FreeWord | None:
     """The unique w with phi == inner(w), or None when phi is not inner.
 
-    The witness is read off structurally: phi(a) must cyclically reduce
-    to the letter a through some conjugator r, and r^-1 phi(b) r must
-    have the shape a^k b a^-k; then w = r a^k.  The candidate is
-    verified before it is returned, so a None answer is authoritative.
+    phi(a) must cyclically reduce to the letter a through some conjugator
+    r, and then w = r a^k, where r^-1 phi(b) r = a^k b a^-k: its own
+    cyclic reduction has the conjugator a^k.  The candidate is verified
+    before it is returned, so a None answer is authoritative.
     """
     core, r = phi.image_a.cyclic_reduce()
     if core.letters != "a":
         return None
-    z = (r.inverse() * phi.image_b * r).letters
-    k = 0
-    n = len(z)
-    while k < n and z[k] in "aA":
-        k += 1
-    if k >= n or z[k] != "b":
-        return None
-    exp = -k if z.startswith("A") else k
-    w = r * FreeWord("a") ** exp
-    if phi == inner(w):
-        return w
-    return None
+    _, y = (r.inverse() * phi.image_b * r).cyclic_reduce()
+    w = r * y
+    return w if phi == inner(w) else None
 
 
 SturmianWord = tuple[tuple[str, int], ...]

@@ -13,6 +13,7 @@ import pytest
 
 from ranktwo.braids import (
     _ARTIN,
+    _EXPANSIONS,
     _F2_ACTION,
     _GARSIDE,
     _RELATIONS,
@@ -40,6 +41,7 @@ from ranktwo.braids import (
     relation_suite,
     to_b3,
 )
+from ranktwo.christoffel import satisfies_path_conditions
 from ranktwo.morphisms import (
     F2Morphism,
     Mat2,
@@ -449,6 +451,10 @@ def test_letter_four_tables():
     # 4 lifts Dt^-1 and -4 lifts Dt, the paper's realization of Dt
     assert f2_action(BraidWord(4, (4,))) == generator_inverse("Dt") == _F2_ACTION[4]
     assert f2_action(BraidWord(4, (-4,))) == generator("Dt") == _F2_ACTION[-4]
+    # the realization's Dt^-1 and Dt are the products over the expansions of 4 and -4
+    assert sorted(_F2_ACTION) == [-4, -3, -2, -1, 1, 2, 3, 4]
+    for letter, expansion in _EXPANSIONS.items():
+        assert _F2_ACTION[letter] == reduce(operator.mul, (_F2_ACTION[l] for l in expansion)), letter
     assert [x.letters for x in _ARTIN[4][4].images] == ["adA", "aDbdA", "aDcdA", "a"]
     assert _ARTIN[4][4] * _ARTIN[4][-4] == F2Morphism.identity(4)
     assert 4 not in _ARTIN[3]
@@ -752,6 +758,15 @@ def test_ext_braid():
     assert (m * s1).inverse().equal(s1.inverse() * m)
 
 
+def test_ext_braid_flag_is_the_integer_0_or_1():
+    for flag in (1.0, 0.0, 2, -1, "1", None):
+        with pytest.raises(ValueError, match="flag must be 0 or 1"):
+            ExtBraid(BraidWord(4), flag)
+    # a bool is an integer flag
+    assert (ExtBraid(BraidWord(4, (1,)), True) * ExtBraid.mirror()).equal(ExtBraid(BraidWord(4, (1,))))
+    assert ExtBraid(flag=False).equal(ExtBraid.identity())
+
+
 def test_ext_braid_equal_mod_center():
     d4 = ExtBraid(delta(4) ** 4)
     s1 = ExtBraid(BraidWord(4, (1,)))
@@ -860,6 +875,30 @@ def test_to_b3():
     # kernel elements: s1 s3^-1 and the full twist land in the kernel targets
     assert braid_equal(to_b3(BraidWord(4, (1, -3))), BraidWord(3))
     assert braid_equal(to_b3(delta(4) ** 4), delta(3) ** 6)
+
+
+_THREE = BraidWord(3, (1,))
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (braid_equal, (BraidWord(4), _THREE), "cannot compare braids on different strand counts"),
+    (braid_equal, (_THREE, BraidWord(4)), "cannot compare braids on different strand counts"),
+    (eq_mod_center, (_THREE, _THREE), "equality modulo the center applies to four-strand braids"),
+    (eq_mod_center, (BraidWord(4), _THREE), "equality modulo the center applies to four-strand braids"),
+    (omega, (_THREE,), "the mirror involution lives on four strands"),
+    (ExtBraid, (_THREE,), "extended elements carry four-strand braids"),
+    (f2_action, (_THREE,), "the rank-two action is defined on four strands"),
+    (to_b3, (_THREE,), "only four-strand words collapse to three strands"),
+    (satisfies_path_conditions, (((0, 0), (-1, 0)), -1, 0), "path conditions apply to the first quadrant"),
+    (satisfies_path_conditions, (((0, 0), (0, -1)), 0, -1), "path conditions apply to the first quadrant"),
+], ids=[
+    "braid_equal-4-3", "braid_equal-3-4", "eq_mod_center-3-3", "eq_mod_center-4-3", "omega", "ExtBraid",
+    "f2_action", "to_b3", "path-to-the-west", "path-to-the-south",
+])
+def test_guards_name_what_they_refuse(function, args, message):
+    with pytest.raises(ValueError) as info:
+        function(*args)
+    assert str(info.value) == message
 
 
 def test_acts_by_inner():

@@ -310,6 +310,55 @@ def test_inner_witness_none_when_matrix_differs():
             assert inner_witness(phi) is None
 
 
+def _reference_inner_witness(phi: F2Morphism) -> FreeWord | None:
+    """The scan that inner_witness replaced: find k with r^-1 phi(b) r = a^k b ..."""
+    core, r = phi.image_a.cyclic_reduce()
+    if core.letters != "a":
+        return None
+    z = (r.inverse() * phi.image_b * r).letters
+    k = 0
+    n = len(z)
+    while k < n and z[k] in "aA":
+        k += 1
+    if k >= n or z[k] != "b":
+        return None
+    exp = -k if z.startswith("A") else k
+    w = r * FreeWord("a") ** exp
+    if phi == inner(w):
+        return w
+    return None
+
+
+def test_inner_witness_matches_the_exponent_scan_on_seeded_endomorphisms():
+    rng = random.Random(2005)
+
+    def word(n: int) -> FreeWord:
+        return FreeWord("".join(rng.choice("abAB") for _ in range(n)))
+
+    cases = []
+    for _ in range(1500):
+        w = word(rng.randint(0, 12))
+        cases.append(inner(w))
+        cases.append(inner(w) * generator(rng.choice(GENERATOR_NAMES)))
+        cases.append(F2Morphism(word(rng.randint(0, 12)), word(rng.randint(0, 12))))
+    # images with a short core a, so that the scan runs often
+    cases += [F2Morphism(inner(word(3))(FreeWord("a")), word(rng.randint(0, 9))) for _ in range(1500)]
+    found = 0
+    for phi in cases:
+        witness = inner_witness(phi)
+        assert witness == _reference_inner_witness(phi), phi
+        found += witness is not None
+    assert 1500 <= found < len(cases), found
+
+
+def test_inner_witness_verifies_its_candidate():
+    # a is fixed and b -> (ba) b (ba)^-1, not an automorphism: the candidate
+    # read off b is ba, which does not fix a, so only the check rejects it
+    phi = F2Morphism(FreeWord("a"), FreeWord("babAB"))
+    assert phi.matrix() == Mat2.identity()
+    assert inner_witness(phi) is None
+
+
 def test_sturmian_parse_format():
     word = parse_sturmian("G D' Gt E")
     assert word == (("G", 1), ("D", -1), ("Gt", 1), ("E", 1))
