@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import astuple
 from functools import reduce
 from itertools import permutations
 from typing import Iterable
@@ -448,6 +447,13 @@ class ExtBraid:
     def __repr__(self) -> str:
         return "ExtBraid(%r, flag=%d)" % (self.braid, self.flag)
 
+    def __eq__(self, other: object) -> bool:
+        # letter-for-letter, like BraidWord; equality in the group is .equal
+        return isinstance(other, ExtBraid) and self.flag == other.flag and self.braid == other.braid
+
+    def __hash__(self) -> int:
+        return hash((self.flag, self.braid))
+
     def __mul__(self, other: ExtBraid) -> ExtBraid:
         if not isinstance(other, ExtBraid):
             return NotImplemented
@@ -515,7 +521,10 @@ def f2_action_ext(e: ExtBraid) -> F2Morphism:
     return out
 
 
-_GL2 = {letter: astuple(phi.matrix()) for letter, phi in _F2_ACTION.items()}
+_GL2 = {
+    letter: (m.a, m.b, m.c, m.d)
+    for letter, m in zip(_F2_ACTION, map(F2Morphism.matrix, _F2_ACTION.values()))
+}
 
 
 def gl2_image(w: BraidWord) -> Mat2:

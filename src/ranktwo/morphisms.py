@@ -24,7 +24,6 @@ morphism by composing left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -44,28 +43,38 @@ def _power(x, n: int, out):
     return out
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """An exact 2x2 integer matrix [[a, b], [c, d]]."""
+    """An exact 2x2 integer matrix [[a, b], [c, d]] with read-only entries."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("_entries",)
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        self._entries = (a, b, c, d)
+
+    a = property(lambda self: self._entries[0])
+    b = property(lambda self: self._entries[1])
+    c = property(lambda self: self._entries[2])
+    d = property(lambda self: self._entries[3])
 
     @classmethod
     def identity(cls) -> Mat2:
         return cls(1, 0, 0, 1)
 
+    def __repr__(self) -> str:
+        return "Mat2(a=%r, b=%r, c=%r, d=%r)" % self._entries
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Mat2) and self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash(self._entries)
+
     def __mul__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self._entries
+        e, f, g, h = other._entries
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __pow__(self, n: int) -> Mat2:
         if n < 0:

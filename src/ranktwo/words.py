@@ -14,7 +14,8 @@ from typing import Iterable, Iterator
 
 _GENERATORS = "abcd"
 _ALPHABETS = {2: "abAB", 3: "abcABC", 4: "abcdABCD"}
-_LETTER_SETS = {rank: frozenset(letters) for rank, letters in _ALPHABETS.items()}
+# deletes the letters of each rank, so that what a word keeps is invalid
+_DELETE_ALPHABET = {rank: str.maketrans("", "", letters) for rank, letters in _ALPHABETS.items()}
 
 IMAGE_LETTER_LIMIT = 1 << 20
 """The most letters a word built from a short description may have.
@@ -165,14 +166,14 @@ class FreeWord:
     __slots__ = ("_s", "_rank")
 
     def __init__(self, letters: str = "", rank: int = 2) -> None:
-        allowed = _LETTER_SETS.get(rank)
-        if allowed is None:
+        delete = _DELETE_ALPHABET.get(rank)
+        if delete is None:
             raise ValueError("rank must be 2, 3 or 4")
-        bad = set(letters) - allowed
+        bad = letters.translate(delete)
         if bad:
             raise ValueError(
                 "invalid letter(s) %s: words are written over %s"
-                % (", ".join(sorted(bad)), ", ".join(_ALPHABETS[rank]))
+                % (", ".join(sorted(set(bad))), ", ".join(_ALPHABETS[rank]))
             )
         self._s = _reduced(letters, rank)
         self._rank = rank

@@ -749,13 +749,24 @@ def test_omega():
 
 def test_ext_braid():
     m = ExtBraid.mirror()
-    assert m * m == ExtBraid.identity() or (m * m).equal(ExtBraid.identity())
+    assert m * m == ExtBraid.identity()
+    assert (m * m).equal(ExtBraid.identity())
     s1 = ExtBraid(BraidWord(4, (1,)))
     # conjugation by the mirror element applies omega to the braid part
     assert (m * s1 * m).equal(ExtBraid(BraidWord(4, (-2,))))
     assert (s1 * s1.inverse()).equal(ExtBraid.identity())
     assert s1.inverse().equal(ExtBraid(BraidWord(4, (-1,))))
     assert (m * s1).inverse().equal(s1.inverse() * m)
+
+
+def test_ext_braid_compares_letter_for_letter():
+    assert len({ExtBraid.identity(), ExtBraid.identity()}) == 1
+    s1 = ExtBraid(BraidWord(4, (1,)))
+    assert s1 == ExtBraid(BraidWord(4, (1,))) and hash(s1) == hash(ExtBraid(BraidWord(4, (1,))))
+    assert s1 != ExtBraid(BraidWord(4, (1,)), 1) and s1 != BraidWord(4, (1,))
+    # equal in the group but not as words
+    s1_again = s1 * ExtBraid(BraidWord(4, (2, -2)))
+    assert s1_again != s1 and s1_again.equal(s1)
 
 
 def test_ext_braid_flag_is_the_integer_0_or_1():

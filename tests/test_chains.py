@@ -237,6 +237,32 @@ def test_single_member_chain():
     assert chain.pairs == (_pair("b", "a"),)
 
 
+def test_chain_records_keep_their_contract():
+    chain = maximal_chain(*_pair("ab", "a"))
+    assert repr(chain) == (
+        "MaximalChain(pairs=((FreeWord('ab'), FreeWord('a')), (FreeWord('ba'), FreeWord('a'))))"
+    )
+    assert repr(maximal_chain(*_pair("aa", "a"))) == "MaximalChain(pairs=None)"
+    verdict = is_basis(_w("ab"), _w("a"))
+    assert repr(verdict) == (
+        "BasisVerdict(is_basis=True, reason='', trace="
+        "(('quadrant-map', 'id'), ('positive-pair', 'ab', 'a'), ('chain-length', 1)))"
+    )
+    for record, fields in ((chain, (chain.pairs,)), (verdict, (True, "", verdict.trace))):
+        again = type(record)(*fields)
+        assert again == record and hash(again) == hash(record)
+        for name in ("pairs",) if record is chain else ("is_basis", "reason", "trace"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert maximal_chain(*_pair("ab", "a")) == chain
+    assert maximal_chain(*_pair("aa", "a")) == maximal_chain(*_pair("a", "aa"))
+    assert maximal_chain(*_pair("b", "a")) != chain
+    assert is_basis(_w("ab"), _w("b")) != verdict
+    # a chain is not a sequence: its arrows are .length, not len()
+    with pytest.raises(TypeError):
+        len(chain)
+
+
 def test_is_basis_positive():
     assert is_basis_positive(*_pair("a", "b"))
     assert is_basis_positive(*_pair("abaab", "aba"))

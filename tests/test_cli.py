@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from ranktwo import braids
 from ranktwo.cli import _COMMANDS, main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 # the order of the top-level help listing is part of the output
 NAMES = [
     "christoffel", "basis-test", "chain", "palindromize", "conjugates", "normal-form",
@@ -289,3 +293,15 @@ def test_readme_synopsis_matches_the_table():
         positionals = [word for word in words if word[0] != "[" and word[-1] != "]"]
         assert flags == [name for name in arguments if name.startswith("--")], line
         assert len(positionals) == sum(not name.startswith("--") for name in arguments), line
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # every CLI call and benchmark probe pays for these imports; -S keeps
+    # site-packages .pth files from importing anything on their own
+    probe = "import ranktwo, ranktwo.cli, sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

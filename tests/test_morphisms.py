@@ -272,6 +272,22 @@ def test_matrix_inverse_requires_unimodular():
     assert Mat2(0, 1, 1, 0).inverse() == Mat2(0, 1, 1, 0)
 
 
+def test_mat2_keeps_its_record_contract():
+    m = Mat2(2, 1, 1, 1)
+    assert repr(Mat2.identity()) == "Mat2(a=1, b=0, c=0, d=1)"
+    assert repr(m.inverse()) == "Mat2(a=1, b=-1, c=-1, d=2)"
+    again = type(m)(m.a, m.b, m.c, m.d)
+    assert again == m and hash(again) == hash(m)
+    assert len({m, again, m * Mat2.identity()}) == 1
+    assert m != Mat2(2, 1, 1, 2) and m != (2, 1, 1, 1)
+    for name in "abcd":
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    assert m == Mat2(2, 1, 1, 1)
+    with pytest.raises(TypeError):
+        len(m)
+
+
 def test_positivity():
     assert generator("G").is_positive
     assert generator("Dt").is_positive

@@ -54,6 +54,11 @@ def test_rejects_foreign_letters():
         FreeWord("abc")
     with pytest.raises(ValueError):
         FreeWord("a b")
+    # each invalid letter is named once, sorted, whatever the word's length
+    with pytest.raises(ValueError, match=r"^invalid letter\(s\) ;, c, x: words are written over a, b, A, B$"):
+        FreeWord("xab;c" * 300 + "x")
+    with pytest.raises(ValueError, match=r"^invalid letter\(s\) e: words are written over a, b, c, d, A, B, C, D$"):
+        FreeWord("abcde", rank=4)
 
 
 def test_parse_round_trip():
