@@ -424,7 +424,7 @@ def omega(w: BraidWord) -> BraidWord:
 class ExtBraid:
     """An element braid * w^flag of the extension of the four-strand group by the mirror."""
 
-    __slots__ = ("braid", "flag")
+    __slots__ = ("_braid", "_flag")
 
     def __init__(self, braid: BraidWord | None = None, flag: int = 0) -> None:
         if braid is None:
@@ -433,8 +433,11 @@ class ExtBraid:
             raise ValueError("extended elements carry four-strand braids")
         if not isinstance(flag, int) or flag not in (0, 1):
             raise ValueError("flag must be 0 or 1")
-        self.braid = braid
-        self.flag = flag
+        self._braid = braid
+        self._flag = flag
+
+    braid = property(lambda self: self._braid)
+    flag = property(lambda self: self._flag)
 
     @classmethod
     def identity(cls) -> ExtBraid:

@@ -18,7 +18,7 @@ unless u and v commute, which is exactly when the chain is infinite.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .morphisms import SturmianWord, generator
@@ -137,18 +137,24 @@ def _chain_span(su: str, sv: str) -> tuple[int, int] | None:
     return _common_prefix(uv[::-1], vu[::-1]), _common_prefix(uv, vu)
 
 
+def _chain_members(u: FreeWord, v: FreeWord) -> Iterator[WordPair] | None:
+    """The chain through a positive pair member by member, or None when infinite."""
+    _check_positive_pair(u, v)
+    su, sv = u.letters, v.letters
+    span = _chain_span(su, sv)
+    if span is None:
+        return None
+    back, forward = span
+    return (_rotation(su, sv, k) for k in range(-back, forward + 1))
+
+
 def maximal_chain(u: FreeWord, v: FreeWord) -> MaximalChain:
     """The full chain through a positive pair, or the infinite marker.
 
     It holds up to (|u| + |v|)^2 letters: about 2 GB at 46,368 letters.
     """
-    _check_positive_pair(u, v)
-    su, sv = u.letters, v.letters
-    span = _chain_span(su, sv)
-    if span is None:
-        return MaximalChain(None)
-    back, forward = span
-    return MaximalChain(tuple(_rotation(su, sv, k) for k in range(-back, forward + 1)))
+    members = _chain_members(u, v)
+    return MaximalChain(None if members is None else tuple(members))
 
 
 def _basis_offset(span: tuple[int, int] | None, length: int) -> int | None:
@@ -338,15 +344,18 @@ def _normalized_basis(u: FreeWord, v: FreeWord) -> _Normalized:
     return normalized
 
 
+def _conjugate_members(u: FreeWord, v: FreeWord) -> Iterator[WordPair]:
+    """The cyclically reduced bases conjugate to (u, v), one at a time."""
+    su, sv, back, unmap = _normalized_basis(u, v)
+    return (unmap(_rotation(su, sv, k)) for k in range(-back, len(su) + len(sv) - 1 - back))
+
+
 def conjugate_bases(u: FreeWord, v: FreeWord) -> tuple[WordPair, ...]:
     """All cyclically reduced bases conjugate to (u, v); there are |u| + |v| - 1.
 
     They hold nearly (|u| + |v|)^2 letters: about 2 GB at 46,368 letters.
     """
-    su, sv, back, unmap = _normalized_basis(u, v)
-    return tuple(
-        unmap(_rotation(su, sv, k)) for k in range(-back, len(su) + len(sv) - 1 - back)
-    )
+    return tuple(_conjugate_members(u, v))
 
 
 def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
@@ -363,42 +372,27 @@ def palindromize(u: FreeWord, v: FreeWord) -> WordPair:
     return unmap(_rotation(su, sv, (len(u) + len(v)) // 2 - 1 - back))
 
 
-def _rotation_residue(s: str, t: str) -> tuple[int, int] | None:
-    """(r, p) such that s rotated k places left is t exactly when k = r mod p; None when never.
-
-    p is the primitive period of s, the least rotation that fixes it.
-    """
-    ss = s + s
-    r = ss.find(t)
-    return None if r < 0 else (r, ss.find(s, 1))
-
-
 def in_same_chain(
     u: FreeWord, v: FreeWord, u_pos: FreeWord, v_pos: FreeWord
 ) -> bool:
     """Whether the cyclically reduced pair (u, v) occurs in the chain of (u_pos, v_pos).
 
-    For a finite chain this is exactly simultaneous conjugacy of the
-    pairs, tested at every rotation offset the chain spans.  An
-    infinite chain pairs powers of one root, so it cycles through all
-    of its members within the first |u_pos| rotations.  Each word
-    matches only at the offsets of one residue class, so only the
-    offsets of the coarser class are tested against the other.
+    A finite chain is known by its left end, so (u, v) is a member when
+    its own chain is finite and ends there.  An infinite chain pairs
+    powers of one root and holds every simultaneous rotation of them:
+    the commuting pairs of the same lengths with u a rotation of u_pos.
     """
     _check_rank_two(u, v)
     _check_cyclically_reduced(u, v)
     _check_positive_pair(u_pos, v_pos)
     tu, tv = u.letters, v.letters
     su, sv = u_pos.letters, v_pos.letters
-    if len(tu) != len(su) or len(tv) != len(sv):
-        return False
-    residues = (_rotation_residue(su, tu), _rotation_residue(sv, tv))
-    if None in residues:
-        return False
-    (r, p), (r2, p2) = sorted(residues, key=lambda residue: residue[1], reverse=True)
     span = _chain_span(su, sv)
-    lo, hi = (0, len(su) - 1) if span is None else (-span[0], span[1])
-    return any((k - r2) % p2 == 0 for k in range(lo + (r - lo) % p, hi + 1, p))
+    if span is None:
+        return len(tu) == len(su) and len(tv) == len(sv) and tu + tv == tv + tu and tu in su + su
+    # commuting is kept by rotation, so a commuting pair is in no finite chain
+    own = _chain_span(tu, tv)
+    return own is not None and _rotation(tu, tv, -own[0]) == _rotation(su, sv, -span[0])
 
 
 def _strip_tree(su: str, sv: str, grow_v: str, grow_u: str) -> list[str] | None:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from .braids import SUITE_NAMES, BraidWord, braid_equal, eq_mod_center, f2_action, relation_suite
 from .chains import (
-    conjugate_bases,
+    _chain_members,
+    _conjugate_members,
     is_basis,
-    maximal_chain,
     nielsen_dehn_oracle,
     palindromize,
     sturmian_position,
@@ -43,7 +44,7 @@ def _pair(args: argparse.Namespace) -> tuple[FreeWord, FreeWord]:
     return FreeWord.parse(args.u), FreeWord.parse(args.v)
 
 
-def _print_pairs(*pairs: tuple[object, object]) -> int:
+def _print_pairs(pairs: Iterable[tuple[object, object]]) -> int:
     for u, v in pairs:
         print("%s %s" % (u, v))
     return 0
@@ -62,7 +63,7 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
     )
     print(word)
     if args.path:
-        _print_pairs(*word_path(word))
+        _print_pairs(word_path(word))
     if args.svg is not None:
         with open(args.svg, "w", encoding="ascii") as handle:
             handle.write(path_svg(args.p, args.q, upper=args.upper))
@@ -82,17 +83,17 @@ def _cmd_basis_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    chain = maximal_chain(*_pair(args))
-    if chain.is_infinite:
+    members = _chain_members(*_pair(args))
+    if members is None:
         print("INFINITE")
         return 0
-    return _print_pairs(*chain.pairs)
+    return _print_pairs(members)
 
 
 def _cmd_braid_apply(args: argparse.Namespace) -> int:
     phi = f2_action(BraidWord.parse(args.braid))
     if args.word is None:
-        return _print_pairs((phi.image_a, phi.image_b))
+        return _print_pairs([(phi.image_a, phi.image_b)])
     print(phi(FreeWord.parse(args.word)))
     return 0
 
@@ -135,11 +136,11 @@ _COMMANDS = (
     }, _cmd_basis_test),
     ("chain", "maximal chain of a positive pair", _PAIR, _cmd_chain),
     ("palindromize", "palindromic conjugate of a basis", _PAIR,
-     lambda args: _print_pairs(palindromize(*_pair(args)))),
+     lambda args: _print_pairs([palindromize(*_pair(args))])),
     ("conjugates", "all cyclically reduced conjugate bases", _PAIR,
-     lambda args: _print_pairs(*conjugate_bases(*_pair(args)))),
+     lambda args: _print_pairs(_conjugate_members(*_pair(args)))),
     ("normal-form", "Christoffel basis conjugate to a basis", _PAIR,
-     lambda args: _print_pairs(christoffel_normal_form(*_pair(args)))),
+     lambda args: _print_pairs([christoffel_normal_form(*_pair(args))])),
     ("primitive", "test membership in some basis", {"w": {}}, lambda args: _print_verdict(
         is_primitive(FreeWord.parse(args.w)), "PRIMITIVE", "NOT-PRIMITIVE")),
     ("braid-apply", "automorphism induced by a braid", {

@@ -769,6 +769,16 @@ def test_ext_braid_compares_letter_for_letter():
     assert s1_again != s1 and s1_again.equal(s1)
 
 
+def test_ext_braid_fields_are_read_only():
+    e = ExtBraid.identity()
+    members = {e}
+    for field, value in (("flag", 1), ("braid", BraidWord(4, (1,)))):
+        with pytest.raises(AttributeError):
+            setattr(e, field, value)
+    assert e in members and ExtBraid.identity() in members and ExtBraid.mirror() not in members
+    assert (e.braid, e.flag) == (BraidWord(4), 0)
+
+
 def test_ext_braid_flag_is_the_integer_0_or_1():
     for flag in (1.0, 0.0, 2, -1, "1", None):
         with pytest.raises(ValueError, match="flag must be 0 or 1"):

@@ -16,6 +16,7 @@ from ranktwo.chains import (
     NotABasisError,
     NotCyclicallyReducedError,
     NotStandardPairError,
+    _chain_span,
     _conjugated_down,
     conjugate_bases,
     in_same_chain,
@@ -166,6 +167,41 @@ def _automorphic_image(rng: random.Random) -> tuple[FreeWord, FreeWord]:
 def _rotated(s: str, k: int) -> str:
     k %= len(s)
     return s[k:] + s[:k]
+
+
+def _rotation_residue(s: str, t: str) -> tuple[int, int] | None:
+    """(r, p) such that s rotated k places left is t exactly when k = r mod p; None when never.
+
+    p is the primitive period of s, the least rotation that fixes it.
+    """
+    ss = s + s
+    r = ss.find(t)
+    return None if r < 0 else (r, ss.find(s, 1))
+
+
+def _reference_in_same_chain(
+    u: FreeWord, v: FreeWord, u_pos: FreeWord, v_pos: FreeWord
+) -> bool:
+    """Chain membership tested at every rotation offset the chain spans.
+
+    The residue-class search, kept as an oracle for in_same_chain on
+    valid arguments (it checks none).  An infinite chain pairs powers
+    of one root, so it cycles through all of its members within the
+    first |u_pos| rotations.  Each word matches only at the offsets of
+    one residue class, so only the offsets of the coarser class are
+    tested against the other.
+    """
+    tu, tv = u.letters, v.letters
+    su, sv = u_pos.letters, v_pos.letters
+    if len(tu) != len(su) or len(tv) != len(sv):
+        return False
+    residues = (_rotation_residue(su, tu), _rotation_residue(sv, tv))
+    if None in residues:
+        return False
+    (r, p), (r2, p2) = sorted(residues, key=lambda residue: residue[1], reverse=True)
+    span = _chain_span(su, sv)
+    lo, hi = (0, len(su) - 1) if span is None else (-span[0], span[1])
+    return any((k - r2) % p2 == 0 for k in range(lo + (r - lo) % p, hi + 1, p))
 
 
 def test_steps():
@@ -607,7 +643,7 @@ def test_in_same_chain():
     # infinite chains cycle; membership is still decidable
     assert in_same_chain(_w("ba"), _w("baba"), _w("ab"), _w("abab"))
     assert not in_same_chain(_w("ab"), _w("baba"), _w("ab"), _w("abab"))
-    # periodic words: only the offsets of one residue class are tried
+    # periodic words: each pair's left end is read off one common suffix
     su, sv = _w("a" * 100000), _w("a" * 100000 + "b")
     tv = _w("b" + "a" * 100000)
     start = time.perf_counter()
@@ -618,6 +654,53 @@ def test_in_same_chain():
         in_same_chain(_w("abA"), _w("b"), _w("ab"), _w("b"))
     with pytest.raises(ValueError):
         in_same_chain(_w("a"), _w("b"), _w("aB"), _w("b"))
+
+
+def test_in_same_chain_matches_the_residue_search_exhaustively():
+    rng = random.Random(20)
+    cases = 0
+    for total in range(2, 10):
+        for i in range(1, total):
+            for su in _positive_words(i):
+                for sv in _positive_words(total - i):
+                    u, v = _w(su), _w(sv)
+                    candidates = [
+                        _pair(_rotated(su, j), _rotated(sv, k))
+                        for j in range(i)
+                        for k in range(total - i)
+                    ]
+                    while len(candidates) < i * (total - i) + 5:
+                        a, b = _random_reduced(rng, i), _random_reduced(rng, total - i)
+                        if a.is_cyclically_reduced and b.is_cyclically_reduced:
+                            candidates.append((a, b))
+                    for a, b in candidates:
+                        expected = _reference_in_same_chain(a, b, u, v)
+                        assert in_same_chain(a, b, u, v) == expected, (a, b, su, sv)
+                    cases += len(candidates)
+    assert cases == 129_048
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((FreeWord("ab", rank=3), _w("a"), _w("ab"), _w("a")), ValueError,
+         "expected words of rank 2"),
+        (_pair("abA", "b") + _pair("ab", "b"), NotCyclicallyReducedError,
+         "expected cyclically reduced words"),
+        (_pair("abA", "b") + _pair("aB", "b"), NotCyclicallyReducedError,
+         "expected cyclically reduced words"),
+        ((_w("a"), _w("b"), FreeWord("ab", rank=3), _w("a")), ValueError,
+         "expected words of rank 2"),
+        (_pair("a", "b") + _pair("aB", "b"), ValueError,
+         "expected a pair of nonempty positive words"),
+        (_pair("a", "b") + _pair("", "b"), ValueError,
+         "expected a pair of nonempty positive words"),
+    ],
+)
+def test_in_same_chain_checks_in_order(args, error, message):
+    with pytest.raises(error) as info:
+        in_same_chain(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_decompose_base_cases():

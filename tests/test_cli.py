@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ranktwo import braids
+from ranktwo.christoffel import christoffel_basis
 from ranktwo.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,8 +136,41 @@ def test_conjugates(capsys):
     code, out, _ = run(capsys, "conjugates", "aab", "ab")
     assert code == 0
     assert out.splitlines() == ["aba ab", "baa ba", "aab ab", "aba ba"]
-    code, _, err = run(capsys, "conjugates", "ab", "ba")
-    assert code == 2 and err.startswith("error:")
+    # the pair is refused before the first member is printed
+    code, out, err = run(capsys, "conjugates", "ab", "ba")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+class _LineCounter:
+    """A stdout that counts the lines written to it and keeps none."""
+
+    def __init__(self) -> None:
+        self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("command", ["chain", "conjugates"])
+def test_chain_output_is_printed_member_by_member(command):
+    # a Fibonacci basis of 10,946 letters: its 10,945 members hold 120 MB
+    u, v = christoffel_basis((4181, 2584), (2584, 1597))
+    n = len(u) + len(v)
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main([command, u.letters, v.letters])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.lines == n - 1
+    # memory linear in |u| + |v|: a few copies of one member
+    assert peak < 100 * n, peak
 
 
 def test_normal_form(capsys):
