@@ -32,23 +32,20 @@ def _lower_letters(p: int, q: int) -> str:
     D~: a -> ab sends it to that of (p, p + q) (Berstel, Lauve,
     Reutenauer and Saliola, *Combinatorics on Words*, 2008).  Euclid's
     algorithm peels whole powers G^k: b -> a^k b and D~^k: a -> a b^k
-    down to (1, 0), (0, 1) or (1, 1), and the powers are applied back
-    up, one str.replace each.
+    down to (1, 0), (0, 1) or (1, 1), composed on the images (x, y) of
+    a and b as it goes: one concatenation each, and the word is x^p y^q.
     """
-    steps = []
+    x, y = "a", "b"
     while p > 1 or q > 1:
         if p > q:
             k = (p - 1) // q
-            steps.append(("b", "a" * k + "b"))
+            y = x * k + y
             p -= k * q
         else:
             k = (q - 1) // p
-            steps.append(("a", "a" + "b" * k))
+            x += y * k
             q -= k * p
-    s = "a" * p + "b" * q
-    for letter, image in reversed(steps):
-        s = s.replace(letter, image)
-    return s
+    return x * p + y * q
 
 
 def christoffel_word(p: int, q: int) -> FreeWord:

@@ -174,7 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse's value for a positional after a second "--"
+        parser.error("an argument is missing after --")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -164,9 +164,14 @@ class F2Morphism:
         # long images cancel only at their seams, where they are folded; short ones are
         # written in C by one translate to digits and one replace per digit, then reduced
         fold = sum(lengths) >= _FOLD_MEAN_LETTERS * rank
-        # the letter images in _ALPHABETS order, inverting only those the words use
-        occurring = "".join([w._s for w in words])
-        images += [_inverted(s) if gen.upper() in occurring else "" for gen, s in zip(_GENERATORS, images)]
+        if not fold and lengths.count(1) == rank and len(set("".join(images).lower())) == rank:
+            # a signed letter permutation sends reduced words to reduced words: one translate
+            permutation = str.maketrans(_ALPHABETS[rank], "".join(images) + "".join(images).swapcase())
+        else:
+            # the letter images in _ALPHABETS order, inverting only those the words use
+            permutation = None
+            occurring = "".join([w._s for w in words])
+            images += [_inverted(s) if gen.upper() in occurring else "" for gen, s in zip(_GENERATORS, images)]
         out = []
         for w in words:
             _check_same_rank(w._rank, rank)
@@ -178,6 +183,8 @@ class F2Morphism:
                 raise ValueError("this image exceeds %d letters" % IMAGE_LETTER_LIMIT)
             if fold:
                 s = _product(map(dict(zip(_ALPHABETS[rank], images)).__getitem__, s))
+            elif permutation:
+                s = s.translate(permutation)
             else:
                 s = s.translate(_DIGITS[rank])
                 for digit, image in enumerate(images):

@@ -66,6 +66,10 @@ _PAIRS = (("A", "aA", "Aa"), ("B", "bB", "Bb"), ("C", "cC", "Cc"), ("D", "dD", "
 # zero-width, so that overlapping pairs such as the two in "aAa" are all found
 _SEAM = re.compile("(?=%s)" % "|".join("%s|%s" % (pair, reverse) for _, pair, reverse in _PAIRS))
 _SWAP = str.maketrans("abcdABCD", "ABCDabcd")
+# bits per letter for FreeWord.abelianization: the letter 2, its inverse 0, the other letters 1;
+# int.from_bytes is bound once, since looking it up is about a third of a short word's cost
+_A_BITS, _B_BITS = bytes.maketrans(b"aAbB", b"\3\0\1\1"), bytes.maketrans(b"aAbB", b"\1\1\3\0")
+_from_bytes = int.from_bytes
 
 
 def _has_inverse_pair(s: str, rank: int) -> bool:
@@ -171,9 +175,11 @@ class FreeWord:
             raise ValueError("rank must be 2, 3 or 4")
         bad = letters.translate(delete)
         if bad:
+            bad = sorted(set(bad))  # eight named, the rest counted, so the message stays short
+            more = " and %d more" % (len(bad) - 8) if len(bad) > 8 else ""
             raise ValueError(
-                "invalid letter(s) %s: words are written over %s"
-                % (", ".join(sorted(set(bad))), ", ".join(_ALPHABETS[rank]))
+                "invalid letter(s) %s%s: words are written over %s"
+                % (", ".join(bad[:8]), more, ", ".join(_ALPHABETS[rank]))
             )
         self._s = _reduced(letters, rank)
         self._rank = rank
@@ -305,11 +311,13 @@ class FreeWord:
         return len(c1._s) == len(c2._s) and c2._s in c1._s + c1._s
 
     def abelianization(self) -> tuple[int, int]:
-        """Exponent sums of a and b; defined for rank-2 words only."""
+        """Exponent sums of a and b, each a count of bits past the length; rank 2 only."""
         if self._rank != 2:
             raise ValueError("abelianization is defined for words of rank 2 only")
-        s = self._s
-        return s.count("a") - s.count("A"), s.count("b") - s.count("B")
+        s = self._s.encode()
+        a = _from_bytes(s.translate(_A_BITS), "little").bit_count()
+        b = _from_bytes(s.translate(_B_BITS), "little").bit_count()
+        return a - len(s), b - len(s)
 
     def commutes_with(self, other: FreeWord) -> bool:
         _check_same_rank(self._rank, other._rank)

@@ -46,6 +46,26 @@ def _reference_lower_letters(p: int, q: int) -> str:
     )
 
 
+def _replaced_lower_letters(p: int, q: int) -> str:
+    """The lower Christoffel word of a coprime pair p, q >= 0 by the same Euclid steps as
+    christoffel._lower_letters, applied to a^p b^q from the last up, one str.replace each;
+    kept as an oracle for the word built by concatenation."""
+    steps = []
+    while p > 1 or q > 1:
+        if p > q:
+            k = (p - 1) // q
+            steps.append(("b", "a" * k + "b"))
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            steps.append(("a", "a" + "b" * k))
+            q -= k * p
+    s = "a" * p + "b" * q
+    for letter, image in reversed(steps):
+        s = s.replace(letter, image)
+    return s
+
+
 def _in_quadrant(s: str, p: int, q: int) -> str:
     """The word of (p, q) from that of (|p|, |q|): read backwards when
     p < 0, with a inverted when p < 0 and b inverted when q < 0."""
@@ -117,6 +137,25 @@ def test_word_matches_floor_formula():
         if math.gcd(p, q) == 1:
             seen += 1
             assert christoffel_word(p, q).letters == _reference_lower_letters(p, q), (p, q)
+
+
+def test_word_matches_one_replace_per_partial_quotient():
+    # seeded pairs of every size up to the letter limit, either slope
+    rng = random.Random(1 << 20)
+    seeded = [(IMAGE_LETTER_LIMIT - 3, 3)]
+    while len(seeded) < 60:
+        n = rng.randint(2, 2 ** rng.randint(2, 20))
+        p = rng.randint(1, n - 1)
+        if math.gcd(p, n) == 1:
+            seeded.append((p, n - p))
+    # consecutive Fibonacci numbers, whose partial quotients are all 1
+    fibonacci = []
+    x, y = 1, 1
+    while x + y <= IMAGE_LETTER_LIMIT:
+        fibonacci += [(x, y), (y, x)]
+        x, y = y, x + y
+    for p, q in [*_coprime_pairs(150), *seeded, *fibonacci]:
+        assert christoffel_word(p, q).letters == _replaced_lower_letters(p, q), (p, q)
 
 
 def test_letter_limit():

@@ -297,6 +297,19 @@ def test_unknown_suite_is_a_parse_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["basis-test", "--", "ab", "--"], ["braid-eq", "--", "", "--"]])
+def test_a_positional_after_a_second_double_dash_is_a_parse_error(capsys, argv):
+    # argparse hands that positional over as an empty list, which must not read as a
+    # word or braid: a crash there exits 1, the code of a negative verdict
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith(("usage:", "error:"))
+
+
 def test_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import itertools
 import random
 import time
 
@@ -143,6 +144,40 @@ def test_apply_matches_substitute_then_reduce_at_higher_ranks(rank):
         assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (phi, w)
         psi = F2Morphism(*(word(rng.randint(0, 5)) for _ in range(rank)))
         assert (phi * psi).images == tuple(phi(img) for img in psi.images)
+
+
+def _signed_permutations(rank: int) -> list[F2Morphism]:
+    """Every morphism sending the generators to distinct letters of either sign."""
+    return [
+        F2Morphism(*(FreeWord(letter.swapcase() if flip else letter, rank) for letter, flip in zip(order, flips)))
+        for order in itertools.permutations("abcd"[:rank])
+        for flips in itertools.product((False, True), repeat=rank)
+    ]
+
+
+def test_letter_permutations_match_substitute_then_reduce():
+    rng = random.Random(4747)
+    assert len(set(_signed_permutations(2))) == 8
+    morphisms = _signed_permutations(2)
+    morphisms += rng.sample(_signed_permutations(3), 12) + rng.sample(_signed_permutations(4), 24)
+    # one-letter images that repeat a generator are not permutations and must still reduce
+    morphisms += [
+        F2Morphism(FreeWord(x), FreeWord(y)) for x, y in ("aa", "aA", "Aa", "bB", "BB", "Bb")
+    ] + [F2Morphism(*(FreeWord(x, 3) for x in images)) for images in ("abA", "cCb", "aab")]
+    for phi in morphisms:
+        rank = len(phi.images)
+        alphabet = "abcd"[:rank] + "ABCD"[:rank]
+        for n in (0, 1, 2, 5, 40, 200):
+            for _ in range(6):
+                w = FreeWord("".join(rng.choices(alphabet, k=n)), rank)
+                assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+        psi = F2Morphism(*(FreeWord("".join(rng.choices(alphabet, k=rng.randint(0, 9))), rank) for _ in range(rank)))
+        assert [img.letters for img in (phi * psi).images] == [
+            _substituted_and_reduced(phi, img.letters) for img in psi.images
+        ]
+        assert [img.letters for img in (psi * phi).images] == [
+            _substituted_and_reduced(psi, img.letters) for img in phi.images
+        ]
 
 
 def test_apply_letter_limit():

@@ -61,6 +61,22 @@ def test_rejects_foreign_letters():
         FreeWord("abcde", rank=4)
 
 
+def test_invalid_letters_are_named_up_to_eight():
+    letters = "".join(map(chr, range(0x4E00, 0x4E00 + 20_000)))
+    with pytest.raises(ValueError) as exc:
+        FreeWord("ab" + letters[::-1] * 2)
+    # eight named, sorted, then a count: one line, however many distinct letters there are
+    message = str(exc.value)
+    assert message == "invalid letter(s) %s and 19992 more: words are written over a, b, A, B" % ", ".join(
+        letters[:8]
+    )
+    assert len(message) <= 120
+    with pytest.raises(ValueError, match=r"^invalid letter\(s\) 1, 2, 3, 4, 5, 6, 7, 8: "):
+        FreeWord("a87654321b")
+    with pytest.raises(ValueError, match=r"^invalid letter\(s\) 0, 1, 2, 3, 4, 5, 6, 7 and 1 more: "):
+        FreeWord("87654321a0", rank=3)
+
+
 def test_parse_round_trip():
     assert FreeWord.parse("1") == FreeWord("")
     assert FreeWord.parse("abAB").letters == "abAB"
@@ -268,6 +284,25 @@ def test_abelianization():
         ip, iq = w.inverse().abelianization()
         assert (ip, iq) == (-p, -q)
         assert (len(w) - p - q) % 2 == 0
+
+
+def _counted_abelianization(s: str) -> tuple[int, int]:
+    """Exponent sums by one str.count per letter; kept as an oracle for the bit count."""
+    return s.count("a") - s.count("A"), s.count("b") - s.count("B")
+
+
+def test_abelianization_matches_letter_counts():
+    for w in words_up_to(8):
+        assert w.abelianization() == _counted_abelianization(w.letters), w
+    # seeded words up to 20,000 letters: mixed, positive, of one sign, one letter, empty
+    rng = random.Random(2121)
+    for alphabet in ("abAB", "ab", "AB", "aB", "Ab", "a", "B"):
+        for n in (0, 1, 2, 7, 8, 9, 63, 64, 65, 999, 4096, 12_345, 20_000):
+            w = FreeWord("".join(rng.choices(alphabet, k=n)))
+            assert w.abelianization() == _counted_abelianization(w.letters), (alphabet, n)
+    for _ in range(300):
+        w = FreeWord("".join(rng.choices("abAB", weights=rng.choices(range(1, 9), k=4), k=rng.randint(0, 20_000))))
+        assert w.abelianization() == _counted_abelianization(w.letters)
 
 
 def test_abelianization_is_homomorphism():
