@@ -16,8 +16,10 @@ before a braid that starts with a negative letter:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections.abc import Iterable
+from typing import NoReturn
 
 from .braids import SUITE_NAMES, BraidWord, braid_equal, eq_mod_center, f2_action, relation_suite
 from .chains import (
@@ -159,8 +161,33 @@ _COMMANDS = (
 )
 
 
+# a value argparse quotes in a message, as repr() writes it, past 64 characters; a pattern
+# string, compiled by re on first use, since most processes never print an error
+_LONG_QUOTED = r"""(['"])((?:\\.|(?!\1)[^\\]){64})(?:\\.|(?!\1)[^\\])+\1"""
+# the longest message printed whole; argparse echoes unknown arguments unquoted
+_MESSAGE_LIMIT = 500
+
+
+def _bounded(message: str) -> str:
+    """A message with each long quoted value cut to its first 64 characters, then the
+    whole cut to _MESSAGE_LIMIT characters, each cut followed by its full length."""
+    message = re.sub(
+        _LONG_QUOTED, lambda m: "%s%s...%s (%d characters)" % (m[1], m[2], m[1], len(m[0]) - 2), message
+    )
+    if len(message) <= _MESSAGE_LIMIT:
+        return message
+    return "%s... (%d characters)" % (message[:_MESSAGE_LIMIT], len(message))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error messages stay short whatever the arguments."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_bounded(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ranktwo",
         description="Free group bases, Christoffel words, and braid actions.",
     )
@@ -169,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         for argument, options in arguments.items():
             p.add_argument(argument, **options)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
     return parser
 
 
@@ -177,11 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse's value for a positional after a second "--"
-        parser.error("an argument is missing after --")
+        args.parser.error("an argument is missing after --")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % _bounded(str(exc)), file=sys.stderr)
         return 2
 
 

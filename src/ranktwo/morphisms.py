@@ -161,15 +161,16 @@ class F2Morphism:
         rank = len(self._images)
         images = [img._s for img in self._images]
         lengths = list(map(len, images))
-        # long images cancel only at their seams, where they are folded; short ones are
-        # written in C by one translate to digits and one replace per digit, then reduced
+        # long images cancel only at their seams, where they are folded; G, Gt, D, Dt and
+        # their inverses only in the one pair of _ELEMENTARY; other short images are written
+        # in C by one translate to digits and one replace per digit, then reduced
         fold = sum(lengths) >= _FOLD_MEAN_LETTERS * rank
+        permutation = elementary = None
         if not fold and lengths.count(1) == rank and len(set("".join(images).lower())) == rank:
             # a signed letter permutation sends reduced words to reduced words: one translate
             permutation = str.maketrans(_ALPHABETS[rank], "".join(images) + "".join(images).swapcase())
-        else:
+        elif fold or not (elementary := _ELEMENTARY.get(tuple(images))):
             # the letter images in _ALPHABETS order, inverting only those the words use
-            permutation = None
             occurring = "".join([w._s for w in words])
             images += [_inverted(s) if gen.upper() in occurring else "" for gen, s in zip(_GENERATORS, images)]
         out = []
@@ -185,6 +186,9 @@ class F2Morphism:
                 s = _product(map(dict(zip(_ALPHABETS[rank], images)).__getitem__, s))
             elif permutation:
                 s = s.translate(permutation)
+            elif elementary:
+                x, image, x_inverse, image_inverse, pair = elementary
+                s = s.replace(x, image).replace(x_inverse, image_inverse).replace(pair, "")
             else:
                 s = s.translate(_DIGITS[rank])
                 for digit, image in enumerate(images):
@@ -233,6 +237,28 @@ _GENERATORS_AND_INVERSES = {
     "E": (_named("b", "a"),) * 2,
     "O": (_named("A", "b"),) * 2,
     "T": (_named("a", "B"),) * 2,
+}
+
+
+def _elementary(images: tuple[str, str]) -> tuple[str, str, str, str, str]:
+    """(x, its image, x^-1, its image, the pair that cancels) for G, Gt, D, Dt or an inverse."""
+    letter = dict(zip("abAB", images + tuple(map(_inverted, images))))
+    x = "a" if len(images[0]) == 2 else "b"
+    # x goes to two letters, so by bounded cancellation (Cooper, J. Algebra 111, 1987) the
+    # images of neighbouring letters cancel in one letter at most, and in one pair of the
+    # 12 reduced letter pairs, or the unpacking fails; removing it once leaves none
+    (pair,) = {
+        letter[p][-1] + letter[q][0] for p in letter for q in letter
+        if p != q.swapcase() and letter[p][-1] == letter[q][0].swapcase()
+    }
+    return x, letter[x], x.upper(), letter[x.upper()], pair
+
+
+# G, Gt, D, Dt and their inverses by their images, for F2Morphism._apply
+_ELEMENTARY = {
+    images: _elementary(images)
+    for name in ("D", "Dt", "G", "Gt")
+    for images in (tuple(w.letters for w in phi.images) for phi in _GENERATORS_AND_INVERSES[name])
 }
 
 

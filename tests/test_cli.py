@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -307,7 +308,80 @@ def test_a_positional_after_a_second_double_dash_is_a_parse_error(capsys, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "Traceback" not in err and err.startswith(("usage:", "error:"))
+    # a refusal goes through the subcommand's own parser, so its usage is the one printed
+    assert "Traceback" not in err and err.startswith(("usage: ranktwo %s " % argv[0], "error:"))
+
+
+def test_parse_errors_echo_at_most_64_characters_of_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["christoffel", "1" * 100000, "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "ranktwo christoffel: error: argument p: invalid int value: '%s...' (100000 characters)\n"
+        % ("1" * 64)
+    )
+    # a value of 64 characters is printed whole, and so is a list of choices
+    with pytest.raises(SystemExit):
+        main(["christoffel", "x" * 64, "1"])
+    assert capsys.readouterr().err.endswith(": error: argument p: invalid int value: '%s'\n" % ("x" * 64))
+    with pytest.raises(SystemExit):
+        main(["relations-check", "nope"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err and all(name in err.split("error:")[1] for name in braids.SUITE_NAMES)
+
+
+# values for the argv fuzz by argument name, and junk that fits none of them
+_WORDS = ["", "a", "b", "ab", "ba", "aa", "aba", "aab", "abaab", "aaabaab", "Ab", "aB", "abAB"]
+_BRAIDS = ["", "1", "1 2", "1 -2 3", "-1 2", "4 4", "2 -4", "3 1", "-4"]
+_INTEGERS = ["0", "1", "2", "3", "5", "8", "13", "-1", "-3", "300"]
+_FUZZ_VALUES = {
+    "u": _WORDS, "v": _WORDS, "w": _WORDS, "--word": _WORDS,
+    "braid": _BRAIDS, "b1": _BRAIDS, "b2": _BRAIDS,
+    "p": _INTEGERS, "q": _INTEGERS, "--kmax": _INTEGERS,
+    "suite": ["eq2.1", "lemma1.3", "fg-identity", "nope"], "--svg": ["path.svg", ""],
+}
+_JUNK = ["", " ", "x", "-", "--x", "-h", "1.5", "G", "--"]
+# about 100 KB each: an invalid integer, a spaced run, quotes, an unknown and an ambiguous option
+_HUGE = ["1" * 100000, "z " * 50000, "'\"" * 50000, "--" + "x" * 100000, "--=" + "q" * 100000]
+# the most stderr any call may write: a usage and a shortened message
+_STDERR_BOUND = 1000
+
+
+def _fuzz_tokens(rng: random.Random, argument: str) -> list[str]:
+    """One argument as argv tokens: a flag, a flag and its value, or a value."""
+    tokens = [argument] if argument.startswith("--") else []
+    if argument in _FUZZ_VALUES:
+        tokens.append(rng.choice(_JUNK if rng.random() < 0.15 else _FUZZ_VALUES[argument]))
+    return tokens
+
+
+def test_seeded_argv_fuzz_keeps_exit_codes_and_stderr_bounded(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # for --svg FILE
+    rng = random.Random(2205)
+    commands = {name: arguments for name, _, arguments, _ in _COMMANDS}
+    codes = set()
+    for i in range(2000):
+        name = rng.choice([*commands, "nope"])
+        # the arguments in any order, a flag kept with its value; some left out
+        chunks = [
+            _fuzz_tokens(rng, argument) for argument in commands.get(name, ())
+            if rng.random() < (0.3 if argument.startswith("--") else 0.9)
+        ]
+        rng.shuffle(chunks)
+        argv = [token for chunk in chunks for token in chunk]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            argv.insert(rng.randint(0, len(argv)), "--")
+        if i % 20 == 0:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(_HUGE))
+        try:
+            code = main([name] + argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), [name] + argv
+        assert len(err) < _STDERR_BOUND, ([name] + argv, err[:200])
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def test_missing_subcommand(capsys):

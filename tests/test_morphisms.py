@@ -101,6 +101,54 @@ def test_apply_matches_substitute_then_reduce():
                 assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (name, w)
 
 
+# G, Gt, D, Dt and their inverses, which _apply writes by their one cancelling pair
+_ELEMENTARY_MAPS = [phi for name in ("D", "Dt", "G", "Gt") for phi in (generator(name), generator_inverse(name))]
+
+
+def test_elementary_maps_match_substitute_then_reduce():
+    rng = random.Random(2222)
+    words = words_up_to(9)
+    # seeded mixed-sign words, some dense in one generator, reduced to up to 20,000 letters
+    for n in (10, 100, 1000, 5000, 20000) * 4:
+        weights = rng.choice(((1, 1, 1, 1), (8, 1, 8, 1), (1, 8, 1, 8), (6, 3, 1, 1)))
+        words.append(FreeWord("".join(rng.choices("abAB", weights, k=n))))
+
+    def word(n: int) -> FreeWord:
+        return FreeWord("".join(rng.choices("abAB", k=n)))
+
+    for phi in _ELEMENTARY_MAPS:
+        assert tuple(img.letters for img in phi.images) in ranktwo.morphisms._ELEMENTARY
+        for w in words:
+            assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+        # compositions both ways, with seeded morphisms and with every elementary map
+        others = [F2Morphism(word(rng.randint(0, 12)), word(rng.randint(0, 12))) for _ in range(50)]
+        for psi in others + _ELEMENTARY_MAPS:
+            assert [img.letters for img in (phi * psi).images] == [
+                _substituted_and_reduced(phi, img.letters) for img in psi.images
+            ]
+            assert [img.letters for img in (psi * phi).images] == [
+                _substituted_and_reduced(psi, img.letters) for img in phi.images
+            ]
+
+
+def test_each_elementary_map_cancels_in_exactly_one_letter_pair():
+    table = ranktwo.morphisms._ELEMENTARY
+    assert list(table) == [tuple(img.letters for img in phi.images) for phi in _ELEMENTARY_MAPS]
+    for phi in _ELEMENTARY_MAPS:
+        x, image, x_inverse, image_inverse, pair = table[tuple(img.letters for img in phi.images)]
+        assert (phi(FreeWord(x)).letters, phi(FreeWord(x_inverse)).letters) == (image, image_inverse)
+        assert len(image) == 2 and all(len(img) == 1 for img in phi.images if img.letters != image)
+        # the seams of the 12 reduced two-letter words, each cancelling one letter at most
+        seams = set()
+        for w in words_up_to(2):
+            if len(w) == 2:
+                left, right = (phi(FreeWord(letter)).letters for letter in w.letters)
+                if left[-1] == right[0].swapcase():
+                    seams.add(left[-1] + right[0])
+                    assert phi(w).letters == left[:-1] + right[1:]
+        assert seams == {pair}, phi
+
+
 @pytest.mark.parametrize("longest", [3, 40])
 def test_apply_folds_and_joins_alike(monkeypatch, longest):
     # seeded morphisms with images up to `longest` letters, empty ones included
