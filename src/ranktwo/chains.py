@@ -22,13 +22,23 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .morphisms import SturmianWord, generator
-from .words import FreeWord, _common_prefix, _inverted, _shown, commutator
+from .words import _SWAP, FreeWord, _common_prefix, _inverted, _shown, commutator
 
 _T = generator("T")
 
 WordPair = tuple[FreeWord, FreeWord]
 
 TraceStep = tuple[str | int, ...]
+
+CHAIN_LETTER_LIMIT = 1 << 24
+"""The most letters the tuples of maximal_chain and conjugate_bases may hold.
+
+A chain through a pair of n = |u| + |v| letters has up to n - 1 members
+of n letters each, so past this size (n above 4,096 for a basis) both
+raise ValueError instead of running out of memory.  The CLI commands
+``chain`` and ``conjugates`` print the members one at a time, in memory
+linear in n, and have no such limit.
+"""
 
 
 class NotABasisError(ValueError):
@@ -137,24 +147,38 @@ def _chain_span(su: str, sv: str) -> tuple[int, int] | None:
     return _common_prefix(uv[::-1], vu[::-1]), _common_prefix(uv, vu)
 
 
-def _chain_members(u: FreeWord, v: FreeWord) -> Iterator[WordPair] | None:
-    """The chain through a positive pair member by member, or None when infinite."""
+def _chain_members(u: FreeWord, v: FreeWord) -> tuple[int, Iterator[WordPair]] | None:
+    """How many letters the chain through a positive pair holds and its
+    members one by one, or None when the chain is infinite."""
     _check_positive_pair(u, v)
     su, sv = u.letters, v.letters
     span = _chain_span(su, sv)
     if span is None:
         return None
     back, forward = span
-    return (_rotation(su, sv, k) for k in range(-back, forward + 1))
+    members = (_rotation(su, sv, k) for k in range(-back, forward + 1))
+    return (back + forward + 1) * (len(su) + len(sv)), members
+
+
+def _held(letters: int, members: Iterator[WordPair]) -> tuple[WordPair, ...]:
+    """The members as a tuple, refused when they hold over CHAIN_LETTER_LIMIT letters."""
+    if letters > CHAIN_LETTER_LIMIT:
+        raise ValueError(
+            "this chain holds %d letters, over the limit of %d; the commands "
+            "'ranktwo chain' and 'ranktwo conjugates' print it member by member"
+            % (letters, CHAIN_LETTER_LIMIT)
+        )
+    return tuple(members)
 
 
 def maximal_chain(u: FreeWord, v: FreeWord) -> MaximalChain:
     """The full chain through a positive pair, or the infinite marker.
 
-    It holds up to (|u| + |v|)^2 letters: about 2 GB at 46,368 letters.
+    It holds up to (|u| + |v|)^2 letters, so it raises ValueError past
+    :data:`CHAIN_LETTER_LIMIT` of them.
     """
-    members = _chain_members(u, v)
-    return MaximalChain(None if members is None else tuple(members))
+    chain = _chain_members(u, v)
+    return MaximalChain(None if chain is None else _held(*chain))
 
 
 def _basis_offset(span: tuple[int, int] | None, length: int) -> int | None:
@@ -244,9 +268,10 @@ def _normalized(
     name, involution = found
     trace.append(("quadrant-map", name))
     u, v = involution(u), involution(v)
-    if not (u.is_positive and v.is_positive):
-        return "pair is not positive after normalization"
     su, sv = u.letters, v.letters
+    # both words have rank two (they have exponent sums), so positive means no capital letter
+    if "A" in su or "B" in su or "A" in sv or "B" in sv:
+        return "pair is not positive after normalization"
     trace.append(("positive-pair", su, sv))
     span = _chain_span(su, sv)
     trace.append(("chain-length", "infinite" if span is None else sum(span)))
@@ -295,12 +320,12 @@ def _conjugated_down(u: FreeWord, v: FreeWord, trace: list[TraceStep]) -> WordPa
     """
     core, x = u.cyclic_reduce()
     run, sv = _conjugated_along(x.letters, v.letters)
-    trace.extend(map(_STEPS.__getitem__, x.letters[:run].swapcase()))
+    trace.extend(map(_STEPS.__getitem__, x.letters[:run].translate(_SWAP)))
     if run < len(x):
         return None
     core_v, y = FreeWord._make(sv).cyclic_reduce()
     run, su = _conjugated_along(y.letters, core.letters)
-    trace.extend(map(_STEPS.__getitem__, y.letters[:run].swapcase()))
+    trace.extend(map(_STEPS.__getitem__, y.letters[:run].translate(_SWAP)))
     if run < len(y):
         return None
     return FreeWord._make(su), core_v
@@ -344,18 +369,21 @@ def _normalized_basis(u: FreeWord, v: FreeWord) -> _Normalized:
     return normalized
 
 
-def _conjugate_members(u: FreeWord, v: FreeWord) -> Iterator[WordPair]:
-    """The cyclically reduced bases conjugate to (u, v), one at a time."""
+def _conjugate_members(u: FreeWord, v: FreeWord) -> tuple[int, Iterator[WordPair]]:
+    """How many letters the cyclically reduced bases conjugate to (u, v)
+    hold, and the bases one by one."""
     su, sv, back, unmap = _normalized_basis(u, v)
-    return (unmap(_rotation(su, sv, k)) for k in range(-back, len(su) + len(sv) - 1 - back))
+    n = len(su) + len(sv)
+    return (n - 1) * n, (unmap(_rotation(su, sv, k)) for k in range(-back, n - 1 - back))
 
 
 def conjugate_bases(u: FreeWord, v: FreeWord) -> tuple[WordPair, ...]:
     """All cyclically reduced bases conjugate to (u, v); there are |u| + |v| - 1.
 
-    They hold nearly (|u| + |v|)^2 letters: about 2 GB at 46,368 letters.
+    They hold nearly (|u| + |v|)^2 letters, so it raises ValueError past
+    :data:`CHAIN_LETTER_LIMIT` of them.
     """
-    return tuple(_conjugate_members(u, v))
+    return _held(*_conjugate_members(u, v))
 
 
 def palindromize(u: FreeWord, v: FreeWord) -> WordPair:

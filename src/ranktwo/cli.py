@@ -85,11 +85,11 @@ def _cmd_basis_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    members = _chain_members(*_pair(args))
-    if members is None:
+    chain = _chain_members(*_pair(args))
+    if chain is None:
         print("INFINITE")
         return 0
-    return _print_pairs(members)
+    return _print_pairs(chain[1])
 
 
 def _cmd_braid_apply(args: argparse.Namespace) -> int:
@@ -140,7 +140,7 @@ _COMMANDS = (
     ("palindromize", "palindromic conjugate of a basis", _PAIR,
      lambda args: _print_pairs([palindromize(*_pair(args))])),
     ("conjugates", "all cyclically reduced conjugate bases", _PAIR,
-     lambda args: _print_pairs(_conjugate_members(*_pair(args)))),
+     lambda args: _print_pairs(_conjugate_members(*_pair(args))[1])),
     ("normal-form", "Christoffel basis conjugate to a basis", _PAIR,
      lambda args: _print_pairs([christoffel_normal_form(*_pair(args))])),
     ("primitive", "test membership in some basis", {"w": {}}, lambda args: _print_verdict(

@@ -9,7 +9,6 @@ returns a fresh reduced word, so they are safe to share freely.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
 _GENERATORS = "abcd"
@@ -32,17 +31,23 @@ its letters before cancellation.
 def _common_prefix(s: str, t: str) -> int:
     """The number of leading letters s and t share.
 
-    A few letters are compared one at a time, then blocks of doubling
-    size, and the block that differs is bisected: O(k) work in C and
-    O(log k) interpreted steps for k shared letters.
+    Words of up to 12 letters are compared one letter at a time.  Longer
+    ones gallop over blocks growing fourfold from 32 letters, bisect the
+    block that differs down to a window of at most 256 letters, and find
+    the first differing letter of the window in one step, as the lowest
+    set bit of the XOR of the two windows read as little-endian integers
+    of ASCII codes: O(k) work in C and O(log k) interpreted steps for k
+    shared letters.
     """
     n = min(len(s), len(t))
     k = 0
-    while k < n and k < 8:
-        if s[k] != t[k]:
-            return k
-        k += 1
-    step = 8
+    if n <= 12:
+        while k < n:
+            if s[k] != t[k]:
+                return k
+            k += 1
+        return n
+    step = 32
     while True:
         end = min(k + step, n)
         if s[k:end] != t[k:end]:
@@ -50,21 +55,23 @@ def _common_prefix(s: str, t: str) -> int:
         if end == n:
             return n
         k = end
-        step *= 2
-    # s[k:end] and t[k:end] differ; bisect down to the first letter that does
-    while end - k > 1:
+        step *= 4
+    # s[k:end] and t[k:end] differ; bisect down to a window that does
+    while end - k > 256:
         mid = (k + end) // 2
         if s[k:mid] == t[k:mid]:
             k = mid
         else:
             end = mid
-    return k
+    # little-endian, so the first differing letter holds the lowest differing byte
+    x = _from_bytes(s[k:end].encode("ascii"), "little") ^ _from_bytes(
+        t[k:end].encode("ascii"), "little"
+    )
+    return k + (((x & -x).bit_length() - 1) >> 3)
 
 
 # (inverted letter, pair, reversed pair) for each generator's inverse pairs
 _PAIRS = (("A", "aA", "Aa"), ("B", "bB", "Bb"), ("C", "cC", "Cc"), ("D", "dD", "Dd"))
-# zero-width, so that overlapping pairs such as the two in "aAa" are all found
-_SEAM = re.compile("(?=%s)" % "|".join("%s|%s" % (pair, reverse) for _, pair, reverse in _PAIRS))
 _SWAP = str.maketrans("abcdABCD", "ABCDabcd")
 # bits per letter for FreeWord.abelianization: the letter 2, its inverse 0, the other letters 1;
 # int.from_bytes is bound once, since looking it up is about a third of a short word's cost
@@ -85,8 +92,8 @@ def _reduced(s: str, rank: int = 4) -> str:
 
     Two str.replace passes per generator of the rank remove most pairs
     (free reduction is confluent, so their order does not matter); the
-    pairs left over cut the word into reduced runs, whose product
-    :func:`_product` takes, so the work is linear in len(s).
+    pairs left over, found by one XOR, cut the word into reduced runs,
+    whose product :func:`_product` takes, so the work is linear in len(s).
     """
     if not _has_inverse_pair(s, rank):
         return s
@@ -95,7 +102,17 @@ def _reduced(s: str, rank: int = 4) -> str:
             s = s.replace(pair, "").replace(reverse, "")
     if not _has_inverse_pair(s, rank):
         return s
-    cuts = [m.start() + 1 for m in _SEAM.finditer(s)]
+    # a pair sits where a letter's byte XORs to zero with that of the next letter inverted,
+    # so overlapping pairs such as the two in "aAa" are all found
+    x = _from_bytes(s[:-1].encode("ascii"), "little") ^ _from_bytes(
+        s[1:].translate(_SWAP).encode("ascii"), "little"
+    )
+    seams = x.to_bytes(len(s) - 1, "little")
+    cuts = []
+    i = seams.find(0)
+    while i >= 0:
+        cuts.append(i + 1)
+        i = seams.find(0, i + 1)
     return _product([s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])])
 
 
@@ -273,8 +290,9 @@ class FreeWord:
     @property
     def is_positive(self) -> bool:
         """True when no letter is inverted, i.e. the word lies in the monoid on the generators."""
+        # substring tests scan at C speed, where str.islower decodes every letter
         s = self._s
-        return s.islower() or not s
+        return "A" not in s and "B" not in s and (self._rank == 2 or "C" not in s and "D" not in s)
 
     def cyclic_reduce(self) -> tuple[FreeWord, FreeWord]:
         """Split into (core, conjugator) with self == conjugator * core * conjugator^-1.

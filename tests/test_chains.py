@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from ranktwo.chains import (
+    CHAIN_LETTER_LIMIT,
     BasisVerdict,
     EvenLengthError,
     NotABasisError,
@@ -419,6 +420,15 @@ def test_is_basis_failure_reasons():
     assert short.reason == "chain length differs from |u| + |v| - 2"
 
 
+def test_is_basis_finds_either_capital_in_either_word():
+    # each pair abelianizes into the first quadrant with one inverted letter left
+    for u, v in (("abAb", "a"), ("a", "abAb"), ("abbaB", "a"), ("a", "abbaB")):
+        mixed = is_basis(_w(u), _w(v))
+        assert mixed == BasisVerdict(
+            False, "pair is not positive after normalization", (("quadrant-map", "id"),)
+        ), (u, v)
+
+
 def test_is_basis_handles_commuting_pairs():
     verdict = is_basis(_w("aa"), _w("aaa"))
     assert not verdict.is_basis
@@ -525,6 +535,28 @@ def test_conjugate_bases_negative_quadrant():
     for pu, pv in pairs:
         assert nielsen_dehn_oracle(pu, pv)
         assert pu.abelianization() == (-2, -1)
+
+
+def test_held_chains_are_bounded():
+    # (a, a^k b) is a basis of k + 2 letters whose chain has k + 1 members
+    k = 4094
+    assert (k + 1) * (k + 2) <= CHAIN_LETTER_LIMIT < (k + 2) * (k + 3)
+    u, v = _w("a"), _w("a" * k + "b")
+    assert len(maximal_chain(u, v).pairs) == k + 1
+    longer = _w("a" * (k + 1) + "b")
+    for held in (maximal_chain, conjugate_bases):
+        with pytest.raises(ValueError, match="16781312 letters") as info:
+            held(u, longer)
+        assert "'ranktwo chain' and 'ranktwo conjugates'" in str(info.value)
+        assert len(str(info.value)) < 200
+    with pytest.raises(ValueError, match="17476580 letters"):
+        maximal_chain(*christoffel_basis((1597, 987), (987, 610)))
+    # a short chain of long words is held, and the pair is checked before its size
+    rng = random.Random(4)
+    su, sv = ("".join(rng.choices("ab", k=5000)) for _ in range(2))
+    assert maximal_chain(_w(su), _w(sv)).length == sum(_chain_span(su, sv))
+    with pytest.raises(NotABasisError):
+        conjugate_bases(_w("a" * 5000), _w("b" * 5000))
 
 
 def test_conjugate_bases_validation():

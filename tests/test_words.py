@@ -163,6 +163,32 @@ def test_reduction_matches_reference_stack():
         assert FreeWord(x, rank) * FreeWord(y, rank) == FreeWord._make(expected, rank), (x, y)
 
 
+def _reference_common_prefix(s: str, t: str) -> int:
+    """The common prefix length by doubling blocks and bisecting down to one letter."""
+    n = min(len(s), len(t))
+    k = 0
+    while k < n and k < 8:
+        if s[k] != t[k]:
+            return k
+        k += 1
+    step = 8
+    while True:
+        end = min(k + step, n)
+        if s[k:end] != t[k:end]:
+            break
+        if end == n:
+            return n
+        k = end
+        step *= 2
+    while end - k > 1:
+        mid = (k + end) // 2
+        if s[k:mid] == t[k:mid]:
+            k = mid
+        else:
+            end = mid
+    return k
+
+
 def test_common_prefix_matches_letter_loop():
     rng = random.Random(99)
     for _ in range(5000):
@@ -175,6 +201,63 @@ def test_common_prefix_matches_letter_loop():
         while k < min(len(s), len(t)) and s[k] == t[k]:
             k += 1
         assert _common_prefix(s, t) == k == _common_prefix(t, s), (s, t)
+        assert _reference_common_prefix(s, t) == k, (s, t)
+
+
+def test_common_prefix_on_all_short_pairs():
+    words = ["".join(w) for n in range(6) for w in itertools.product("abAB", repeat=n)]
+    for s in words:
+        expected = [_reference_common_prefix(s, t) for t in words]
+        assert list(map(_common_prefix, [s] * len(words), words)) == expected, s
+        assert list(map(_common_prefix, words, [s] * len(words))) == expected, s
+
+
+# first mismatches on both sides of the letter loop, the first gallop block,
+# the largest XOR window and later gallop blocks
+_MISMATCHES = [*range(15), 31, 32, 33, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097]
+
+
+@pytest.mark.parametrize("at", _MISMATCHES)
+def test_common_prefix_finds_the_first_mismatch(at):
+    rng = random.Random(at)
+    for _ in range(40):
+        s = "".join(rng.choices("abAB", k=at + rng.choice([1, 2, 8, 300, rng.randint(1, 9000)])))
+        t = s[:at] + rng.choice([c for c in "abAB" if c != s[at]]) + s[at + 1 :]
+        t = t[: rng.randint(at + 1, len(t))] + "".join(rng.choices("abAB", k=rng.randint(0, 600)))
+        for x, y in ((s, t), (t, s)):
+            assert _common_prefix(x, y) == at == _reference_common_prefix(x, y), (at, len(x), len(y))
+
+
+def test_common_prefix_of_prefixes_and_equal_words():
+    rng = random.Random(2718)
+    lengths = [*range(40), 255, 256, 257, 1024, 4096, 4097, 65536, 100_000]
+    lengths += [rng.randint(1, 100_000) for _ in range(12)]
+    for n in lengths:
+        s = "".join(rng.choices("abAB", k=n))
+        assert _common_prefix(s, s) == n == _common_prefix(s, (s + "a")[:n]), n
+        for m in {0, n // 3, max(n - 1, 0), rng.randint(0, n)}:
+            assert _common_prefix(s, s[:m]) == m == _common_prefix(s[:m], s), (n, m)
+            assert _reference_common_prefix(s[:m], s) == m
+    # a mismatch in the last letter of a 100,000-letter word
+    s = "ab" * 50_000
+    t = s[:-1] + "A"
+    assert _common_prefix(s, t) == 99_999 == _common_prefix(t, s)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_is_positive_matches_islower(rank):
+    alphabet = "abcdABCD"[:rank] + "abcdABCD"[4 : 4 + rank]
+    for n in range(7):
+        for letters in itertools.product(alphabet, repeat=n):
+            s = "".join(letters)
+            assert FreeWord._make(s, rank).is_positive == (s.islower() or not s), s
+    rng = random.Random(rank)
+    for _ in range(20):
+        s = "".join(rng.choices(alphabet[:rank], k=100_000))
+        i = rng.choice([0, rng.randrange(100_000), 99_999])
+        t = s[:i] + rng.choice(alphabet[rank:]) + s[i + 1 :]
+        for w in (s, t):
+            assert FreeWord._make(w, rank).is_positive == w.islower(), (rank, i)
 
 
 @pytest.mark.parametrize("name", ["a^n A^n", "(abBA)^n", "(ab)^n (BA)^n", "random"])
