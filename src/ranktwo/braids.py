@@ -62,6 +62,7 @@ from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _i
 # sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
 _EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
 _LETTERS = {3: frozenset((1, 2, -1, -2)), 4: frozenset((1, 2, 3, 4, -1, -2, -3, -4))}
+_INT = frozenset((int,))
 _IMAGE_TOO_LONG = "the free-group image of this braid exceeds %d letters" % IMAGE_LETTER_LIMIT
 
 
@@ -80,8 +81,11 @@ class BraidWord:
             raise ValueError("strands must be 3 or 4")
         letters = tuple(letters)
         # True and 1.0 equal 1, so the set test alone would let them in;
-        # it comes second, so that an unhashable letter never reaches it
-        integers = all(issubclass(t, int) and t is not bool for t in set(map(type, letters)))
+        # it comes second, so that an unhashable letter never reaches it.
+        # Plain ints pass the first type test; int subclasses but bool, the second
+        integers = _INT.issuperset(map(type, letters)) or all(
+            issubclass(t, int) and t is not bool for t in set(map(type, letters))
+        )
         if not (integers and valid.issuperset(letters)):
             raise ValueError(
                 "braid letters on %d strands are nonzero integers with absolute value at most %d"
@@ -496,7 +500,8 @@ def f2_action(w: BraidWord) -> F2Morphism:
     The letters compose left to right as in :func:`_composed`, each by
     one row of :data:`_F2_ACTION_RULES`: the image x y cancels as far as
     x^-1 and y share a prefix, and it and its inverse y^-1 x^-1 are two
-    concatenations.
+    concatenations.  The morphism keeps the inverse images, which
+    applying it reads at the seams where images cancel.
     """
     if w.strands != 4:
         raise ValueError("the rank-two action is defined on four strands")
@@ -513,7 +518,7 @@ def f2_action(w: BraidWord) -> F2Morphism:
             images[i_inv] = yi + xi
         if len(images[0]) + len(images[1]) > IMAGE_LETTER_LIMIT:
             raise ValueError(_IMAGE_TOO_LONG)
-    return F2Morphism._make((FreeWord._make(images[0]), FreeWord._make(images[1])))
+    return F2Morphism._make((FreeWord._make(images[0]), FreeWord._make(images[1])), images[2:])
 
 
 def f2_action_ext(e: ExtBraid) -> F2Morphism:
@@ -600,14 +605,15 @@ def _aut_domain() -> tuple:
     return names, inverses.__getitem__, operator.pow, {}
 
 
-_TOKEN = re.compile(r"f\(g\(\w+\)\)|\w*\(|\^-?\d+|\w+|\S")
+# a pattern string, compiled by re on first use, since only relation_suite reads it
+_TOKEN = r"f\(g\(\w+\)\)|\w*\(|\^-?\d+|\w+|\S"
 
 
 def _evaluate(domain: tuple, side: str) -> ExtBraid | F2Morphism:
     """The value of one side of a label: its factors multiplied left to right."""
     names, inverse, power, functions = domain
     frames = [("", [])]  # each open parenthesis with its function and factors
-    for token in _TOKEN.findall(side):
+    for token in re.findall(_TOKEN, side):
         factors = frames[-1][1]
         if token.startswith("f(g("):
             factors.append(f2_action_ext(from_aut_generator(token[4:-2])))

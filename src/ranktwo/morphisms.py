@@ -115,13 +115,15 @@ class F2Morphism:
     cancellation.
     """
 
-    __slots__ = ("_images",)
+    # _inverses: the letters of the inverse images when they came with the images, else None
+    __slots__ = ("_images", "_inverses")
 
     def __init__(self, *images: FreeWord) -> None:
         rank = len(images)
         if rank not in (2, 3, 4) or any(w.rank != rank for w in images):
             raise ValueError("a morphism of rank 2, 3 or 4 takes that many images of that rank")
         self._images = images
+        self._inverses = None
 
     @classmethod
     def identity(cls, rank: int = 2) -> F2Morphism:
@@ -151,10 +153,12 @@ class F2Morphism:
         return hash(self._images)
 
     @classmethod
-    def _make(cls, images: tuple[FreeWord, ...]) -> F2Morphism:
-        # trusted constructor, the images must already share a rank of 2, 3 or 4
+    def _make(cls, images: tuple[FreeWord, ...], inverses: list[str] | None = None) -> F2Morphism:
+        # trusted constructor, the images must already share a rank of 2, 3 or 4,
+        # and the inverses, when given, be the inverted letters of each image
         phi = object.__new__(cls)
         phi._images = images
+        phi._inverses = inverses
         return phi
 
     def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
@@ -170,9 +174,19 @@ class F2Morphism:
             # a signed letter permutation sends reduced words to reduced words: one translate
             permutation = str.maketrans(_ALPHABETS[rank], "".join(images) + "".join(images).swapcase())
         elif fold or not (elementary := _ELEMENTARY.get(tuple(images))):
-            # the letter images in _ALPHABETS order, inverting only those the words use
-            occurring = "".join([w._s for w in words])
-            images += [_inverted(s) if gen.upper() in occurring else "" for gen, s in zip(_GENERATORS, images)]
+            # the letter images in _ALPHABETS order, with the inverse images the morphism
+            # came with, else inverting only those the words use
+            inverses = self._inverses
+            if not inverses:
+                occurring = "".join([w._s for w in words])
+                inverses = [_inverted(s) if g.upper() in occurring else "" for g, s in zip(_GENERATORS, images)]
+            images += inverses
+        if fold:
+            # the fold reads a cancelled image end off the image of the letter's inverse when
+            # the morphism came with them all; else it inverts that end, which costs less than
+            # inverting every image per call, as the seams of short words rarely cancel
+            letter_images = dict(zip(_ALPHABETS[rank], images))
+            inverse_images = self._inverses and dict(zip(_ALPHABETS[rank], images[rank:] + images[:rank]))
         out = []
         for w in words:
             _check_same_rank(w._rank, rank)
@@ -183,7 +197,8 @@ class F2Morphism:
             ) > IMAGE_LETTER_LIMIT:
                 raise ValueError("this image exceeds %d letters" % IMAGE_LETTER_LIMIT)
             if fold:
-                s = _product(map(dict(zip(_ALPHABETS[rank], images)).__getitem__, s))
+                runs = map(letter_images.__getitem__, s)
+                s = _product(runs, inverse_images and map(inverse_images.__getitem__, s))
             elif permutation:
                 s = s.translate(permutation)
             elif elementary:

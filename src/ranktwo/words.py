@@ -9,6 +9,7 @@ returns a fresh reduced word, so they are safe to share freely.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 _GENERATORS = "abcd"
@@ -79,11 +80,22 @@ _A_BITS, _B_BITS = bytes.maketrans(b"aAbB", b"\3\0\1\1"), bytes.maketrans(b"aAbB
 _from_bytes = int.from_bytes
 
 
+# the length from which _has_inverse_pair tests every seam by one XOR instead of
+# up to 2 * rank substring scans; below it the XOR's fixed cost is the larger
+_XOR_PAIR_LETTERS = 512
+
+
 def _has_inverse_pair(s: str, rank: int) -> bool:
     # a pair holds its inverted letter, which a one-letter scan in C rules out
     for inverse, pair, reverse in _PAIRS[:rank]:
-        if inverse in s and (pair in s or reverse in s):
-            return True
+        if inverse in s:
+            if len(s) >= _XOR_PAIR_LETTERS:
+                # two letters are inverse exactly when their ASCII codes XOR to 0x20, a space
+                b = s.encode("ascii")
+                x = _from_bytes(b[:-1], "little") ^ _from_bytes(b[1:], "little")
+                return b" " in x.to_bytes(len(b) - 1, "little")
+            if pair in s or reverse in s:
+                return True
     return False
 
 
@@ -116,47 +128,49 @@ def _reduced(s: str, rank: int = 4) -> str:
     return _product([s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])])
 
 
-def _product(runs: Iterable[str]) -> str:
-    """The reduced product of reduced words.
+def _product(runs: Iterable[str], inverses: Iterable[str] | None = None) -> str:
+    """The reduced product of reduced words, given with their inverses or not.
 
     Neighbouring runs cancel only at their seam, as far as the end of
     one is the inverse of the start of the next, so each run costs
     O(log k) interpreted steps for k cancelled letters and nothing
-    more when its seam does not cancel.
+    more when its seam does not cancel.  Where a seam cancels, the
+    inverted end of the earlier run is a slice of its inverse when the
+    caller passes the inverses, and is inverted only when not.
     """
-    # [run, used]: the first `used` letters of each run survive so far,
+    # [run, its inverse or None, start, end]: run[start:end] survives so far,
     # and no two neighbouring entries cancel
     stack: list[list] = []
-    for run in runs:
+    for run, inverse in zip(runs, inverses or repeat(None)):
         start, n = 0, len(run)
         while stack and start < n:
             top = stack[-1]
-            prev, used = top
-            if prev[used - 1] != run[start].swapcase():
+            prev, prev_inverse, first, end = top
+            if prev[end - 1] != run[start].swapcase():
                 break
-            k = _cancelled(prev, used, run, start)
+            m = min(end - first, n - start)
+            if prev_inverse is None:
+                tail = _inverted(prev[end - m : end])
+            else:
+                off = len(prev) - end
+                tail = prev_inverse[off : off + m]
+            k = _common_prefix(tail, run[start : start + m])
             start += k
-            if k < used:
-                top[1] = used - k
+            if k < end - first:
+                top[3] = end - k
                 break
             stack.pop()
         if start < n:
-            stack.append([run[start:], n - start])
-    return "".join([run[:used] for run, used in stack])
-
-
-def _cancelled(x: str, end: int, y: str, start: int) -> int:
-    """How many letters cancel where x[:end] meets y[start:], both reduced:
-    how far the end of one is the inverse of the start of the other."""
-    m = min(end, len(y) - start)
-    return _common_prefix(_inverted(x[end - m : end]), y[start : start + m])
+            stack.append([run, inverse, start, n])
+    return "".join([run[start:end] for run, _, start, end in stack])
 
 
 def _joined(x: str, y: str) -> str:
     """The reduced product of two reduced words: x + y unless their seam cancels."""
     if not x or not y or x[-1] != y[0].swapcase():
         return x + y
-    k = _cancelled(x, len(x), y, 0)
+    m = min(len(x), len(y))
+    k = _common_prefix(_inverted(x[len(x) - m :]), y[:m])
     return x[: len(x) - k] + y[k:]
 
 
@@ -343,8 +357,11 @@ class FreeWord:
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
-    """u v u^-1 v^-1."""
-    return u * v * u.inverse() * v.inverse()
+    """u v u^-1 v^-1, as one product of the four words, each with its inverse in hand."""
+    _check_same_rank(u._rank, v._rank)
+    x, y = u._s, v._s
+    x_inverse, y_inverse = _inverted(x), _inverted(y)
+    return FreeWord._make(_product((x, y, x_inverse, y_inverse), (x_inverse, y_inverse, x, y)), u._rank)
 
 
 def _shown(w: FreeWord) -> str:

@@ -43,6 +43,7 @@ from ranktwo.braids import (
 )
 from ranktwo.christoffel import satisfies_path_conditions
 from ranktwo.morphisms import (
+    _FOLD_MEAN_LETTERS,
     F2Morphism,
     Mat2,
     eval_sturmian,
@@ -89,7 +90,10 @@ def test_validation():
     with pytest.raises(ValueError, match="nonzero integers"):
         BraidWord(4, (True, 2))
     message = "braid letters on %d strands are nonzero integers with absolute value at most %d"
-    for strands, top, letters in ((4, 4, (1.0,)), (4, 4, (2, 0)), (4, 4, (5, 1)), (4, 4, (-5,)), (3, 2, (1, 3))):
+    refused = ((4, 4, (1.0,)), (4, 4, (2, 0)), (4, 4, (5, 1)), (4, 4, (-5,)), (3, 2, (1, 3)))
+    # a float, a bool or an unhashable letter among plain ints, past the plain-int type test
+    refused += ((4, 4, (1, 2, 1.0)), (4, 4, (1, True)), (4, 4, ([1],)), (3, 2, (1, [1], -2)))
+    for strands, top, letters in refused:
         with pytest.raises(ValueError, match=message % (strands, top)):
             BraidWord(strands, letters)
     BraidWord(3, (1, 2, -1))
@@ -825,6 +829,35 @@ def test_f2_action_matches_the_composition_on_seeded_long_words():
         assert f2_action(w * w.inverse()) == F2Morphism.identity(), w
         compared += 1
     assert compared >= 250, compared
+
+
+def test_f2_action_keeps_the_inverse_images_it_applies_with():
+    # the morphism f2_action returns carries the inverse images, which the fold reads
+    # at cancelling seams; the same images given to the public constructor carry none
+    rng = random.Random(1895)
+    folded = 0
+    for _ in range(200):
+        b = BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(rng.randint(0, 36))])
+        phi = f2_action(b)
+        folded += sum(map(len, phi.images)) >= 2 * _FOLD_MEAN_LETTERS
+        plain = F2Morphism(*phi.images)
+        assert phi._inverses == [w.inverse().letters for w in phi.images], b
+        assert plain._inverses is None
+        assert phi == plain and hash(phi) == hash(plain) and repr(phi) == repr(plain), b
+        psi = f2_action(BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(rng.randint(0, 8))]))
+        words = [FreeWord("".join(rng.choices("abAB", k=rng.choice([1, 4, 30])))) for _ in range(3)]
+        words += [w * rng.choice(phi.images).inverse() for w in words]
+        for w in words:
+            try:
+                expected = plain(w)
+            except ValueError:  # past the letter limit, which then both refuse
+                with pytest.raises(ValueError, match="exceeds"):
+                    phi(w)
+                continue
+            assert phi(w) == expected, (b, w)
+        assert phi * psi == plain * psi, b
+        assert f2_action_ext(ExtBraid(b, 1)) == plain * generator("E"), b
+    assert folded >= 100, folded
 
 
 def test_f2_action_is_homomorphism():

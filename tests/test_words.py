@@ -14,6 +14,8 @@ from ranktwo.words import (
     IMAGE_LETTER_LIMIT,
     FreeWord,
     _common_prefix,
+    _has_inverse_pair,
+    _inverted,
     _joined,
     _product,
     _reduced,
@@ -161,6 +163,84 @@ def test_reduction_matches_reference_stack():
         rank = 4 if set(x + y) - set("abAB") else 2
         assert _joined(x, y) == expected, (x, y)
         assert FreeWord(x, rank) * FreeWord(y, rank) == FreeWord._make(expected, rank), (x, y)
+
+
+def _reference_product(runs: list[str]) -> str:
+    """The reduced product of reduced words by a [run, used] stack, each cancelled
+    end inverted letter by letter; kept as an oracle for the index-bound fold."""
+    stack: list[list] = []
+    for run in runs:
+        start, n = 0, len(run)
+        while stack and start < n:
+            top = stack[-1]
+            prev, used = top
+            if prev[used - 1] != run[start].swapcase():
+                break
+            m = min(used, n - start)
+            k = _common_prefix(prev[used - m : used][::-1].swapcase(), run[start : start + m])
+            start += k
+            if k < used:
+                top[1] = used - k
+                break
+            stack.pop()
+        if start < n:
+            stack.append([run[start:], n - start])
+    return "".join([run[:used] for run, used in stack])
+
+
+def _splits(s: str):
+    """Every way of cutting s into reduced runs: each cut is optional, except
+    between two letters that cancel."""
+    seams = [i for i in range(1, len(s)) if s[i - 1] != s[i].swapcase()]
+    forced = [i for i in range(1, len(s)) if s[i - 1] == s[i].swapcase()]
+    for chosen in itertools.product((False, True), repeat=len(seams)):
+        cuts = sorted(forced + [i for i, cut in zip(seams, chosen) if cut])
+        yield [s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])]
+
+
+def _assert_products_agree(runs: list[str], expected: str) -> None:
+    assert _reference_product(runs) == expected, runs
+    assert _product(runs) == expected, runs
+    assert _product(runs, [_inverted(r) for r in runs]) == expected, runs
+
+
+def test_product_with_and_without_inverses_matches_the_reference_fold():
+    # every split into reduced runs of every rank-2 word of up to 6 letters; of the
+    # 7- and 8-letter words, the split at each cancelling pair only and one seeded
+    # split (all splits of them are 3.8 million products)
+    rng = random.Random(1887)
+    for n in range(9):
+        for letters in itertools.product("abAB", repeat=n):
+            s = "".join(letters)
+            expected = _reference_reduced(s)
+            if n <= 6:
+                for runs in _splits(s):
+                    _assert_products_agree(runs, expected)
+                continue
+            for cut in (0.0, 0.5):
+                cuts = [i for i in range(1, n) if s[i - 1] == s[i].swapcase() or rng.random() < cut]
+                _assert_products_agree([s[i:j] for i, j in zip([0] + cuts, cuts + [n])], expected)
+
+
+def test_product_of_long_runs_with_cancelled_middles():
+    # seeded runs up to 20,000 letters in all, each either free or starting with the
+    # inverse of a tail of the product so far, so that its seam cancels into one or
+    # several earlier runs, or it cancels wholly against them
+    rng = random.Random(2024)
+    for rank, alphabet in ((2, "abAB"), (4, "abcdABCD")):
+        for _ in range(40):
+            runs: list[str] = []
+            product = ""
+            while len(product) + sum(map(len, runs)) < rng.choice([200, 2000, 20_000]):
+                run = _reference_reduced("".join(rng.choices(alphabet, k=rng.choice([1, 5, 50, 700]))))
+                if product and rng.random() < 0.7:
+                    j = rng.choice([1, len(runs[-1]), len(runs[-1]) + rng.randint(0, 40), len(product)])
+                    tail = _inverted(product[-j:])
+                    run = tail if rng.random() < 0.3 else _reference_reduced(tail + run)
+                runs.append(run)
+                product = _reference_reduced(product + run)
+            _assert_products_agree(runs, product)
+            assert _product(iter(runs), map(_inverted, runs)) == product
 
 
 def _reference_common_prefix(s: str, t: str) -> int:
@@ -482,6 +562,61 @@ def test_power_letter_limit():
 def test_commutator():
     assert str(commutator(FreeWord("a"), FreeWord("b"))) == "abAB"
     assert commutator(FreeWord("ab"), FreeWord("ab")) == FreeWord("")
+
+
+def test_commutator_is_the_product_of_four_words():
+    rng = random.Random(1958)
+    rank_two = words_up_to(4)
+    pairs = [(u, v) for u in rank_two for v in rank_two]
+    for rank, alphabet in ((2, "abAB"), (3, "abcABC"), (4, "abcdABCD")):
+        for _ in range(60):
+            u = FreeWord("".join(rng.choices(alphabet, k=rng.randint(0, 300))), rank)
+            v = FreeWord("".join(rng.choices(alphabet, k=rng.randint(0, 300))), rank)
+            x = FreeWord("".join(rng.choices(alphabet, k=rng.choice([0, 10, 1000, 10_000]))), rank)
+            pairs.append((u.conjugated_by(x), v.conjugated_by(x)))
+            # v a power or a prefix of u, so that whole words cancel
+            pairs.append((u.conjugated_by(x), (u ** rng.randint(-3, 3)).conjugated_by(x)))
+            k = rng.randint(0, len(u))
+            pairs.append((u.conjugated_by(x), FreeWord._make(u.letters[:k], rank).conjugated_by(x)))
+    for u, v in pairs:
+        assert commutator(u, v) == u * v * u.inverse() * v.inverse(), (u, v)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        commutator(FreeWord("a"), FreeWord("a", rank=3))
+
+
+def _has_inverse_pair_by_definition(s: str, rank: int) -> bool:
+    return any(x + x.upper() in s or x.upper() + x in s for x in "abcd"[:rank])
+
+
+@pytest.mark.parametrize("xor_from", [ranktwo.words._XOR_PAIR_LETTERS, 2])
+def test_has_inverse_pair_matches_the_substring_definition(monkeypatch, xor_from):
+    # every short word, by the substring scans and (xor_from 2) by the XOR
+    monkeypatch.setattr(ranktwo.words, "_XOR_PAIR_LETTERS", xor_from)
+    for rank in (2, 3, 4):
+        alphabet = "abcd"[:rank] + "ABCD"[:rank]
+        for n in range(7):
+            for letters in itertools.product(alphabet, repeat=n):
+                s = "".join(letters)
+                assert _has_inverse_pair(s, rank) == _has_inverse_pair_by_definition(s, rank), (rank, s)
+
+
+def test_has_inverse_pair_in_long_words():
+    # reduced words on both sides of the XOR threshold, without a pair and with
+    # one planted at the first seam, a middle one or the last
+    rng = random.Random(512)
+    n0 = ranktwo.words._XOR_PAIR_LETTERS
+    for rank in (2, 3, 4):
+        alphabet = "abcd"[:rank] + "ABCD"[:rank]
+        for n in (n0 - 2, n0 - 1, n0, n0 + 1, n0 + 2, 6000, 60_000):
+            s = ""
+            while len(s) < n:
+                s = _reference_reduced(s + "".join(rng.choices(alphabet, k=n - len(s))))
+            assert not _has_inverse_pair(s, rank), (rank, n)
+            positive = "".join(rng.choices(alphabet[:rank], k=n))
+            assert not _has_inverse_pair(positive, rank), (rank, n)
+            for i in (0, rng.randrange(1, n - 2), n - 2):
+                t = s[: i + 1] + s[i].swapcase() + s[i + 2 :]
+                assert _has_inverse_pair(t, rank) == _has_inverse_pair_by_definition(t, rank) == True, (rank, n, i)
 
 
 def test_ranked_examples():
