@@ -18,15 +18,13 @@ itself, so a Delta power costs nothing.  The faithful action on a free
 group of the same rank, :func:`artin_action`, stays as an independent
 oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i,
 and a word acts by composing the generator actions left to right, the
-same convention as for morphisms.  Each letter rebuilds only the images
-its generator moves, joining old images one seam at a time, and two
-reduced words cancel only at their seam: a letter costs O(log seam)
-interpreted steps per join plus the C copying of the images it moves.
-In the rank-two action :func:`f2_action` every letter moves one image,
-the product of two old ones.  The images are kept with their inverses,
-so a letter is one table row, one common prefix and two concatenations,
-and inverts nothing.  Those images grow exponentially with the word, so
-every free-group image is capped at
+same convention as for morphisms.  After each letter every image is one
+reduced product of the old images and their inverses, as the letter's
+generator morphism names them.  In the rank-two action :func:`f2_action`
+every letter moves one image, the product of two old ones.  The images
+are kept with their inverses, so a letter is one table row, one common
+prefix and two concatenations, and inverts nothing.  Those images grow
+exponentially with the word, so every free-group image is capped at
 :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
 
 A comparison first cancels the common prefix and suffix of its two
@@ -57,7 +55,9 @@ from .morphisms import (
     is_special_sturmian,
     _power,
 )
-from .words import _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _inverted, _joined
+from .words import (
+    _ALPHABETS, _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _inverted, _product
+)
 
 # sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
 _EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
@@ -193,52 +193,21 @@ _ARTIN = {
 _ARTIN[4].update({l: reduce(operator.mul, map(_ARTIN[4].get, e)) for l, e in _EXPANSIONS.items()})
 
 
-def _seam_rules(table: dict[int, F2Morphism]) -> dict[int, tuple]:
-    """For each letter, the images its morphism moves and how to rebuild them.
+def artin_action(w: BraidWord) -> F2Morphism:
+    """The action of the braid on the free group of rank `strands`.
 
-    Composing phi with the letter's morphism g sends generator i to
-    phi(g(x_i)), the product of phi's images of the letters of g(x_i)
-    (inverted for capitals).  A rule lists (i, ((j, inverted), ...)) for
-    each i with g(x_i) != x_i.
+    After phi, a letter whose morphism is g sends x_i to phi(g(x_i)), the
+    reduced product of phi's images of the letters of g(x_i), inverted
+    for capitals.
     """
-    return {
-        letter: tuple(
-            (i, tuple((_GENERATORS.index(c.lower()), c.isupper()) for c in img.letters))
-            for i, img in enumerate(g.images)
-            if img.letters != _GENERATORS[i]
-        )
-        for letter, g in table.items()
-    }
-
-
-def _composed(rank: int, rules: dict[int, tuple], letters: tuple[int, ...]) -> F2Morphism:
-    """The morphism of the letters composed left to right, by their seam rules.
-
-    The images stay strings between letters, and each letter rebuilds
-    only the images it moves, folding their one to five old pieces with
-    :func:`~ranktwo.words._joined`.  This loop serves ranks 3 and 4,
-    where a letter moves two or four images; the rank-two action has its
-    own loop in :func:`f2_action`.
-    """
+    rank, table = w.strands, _ARTIN[w.strands]
     images = list(_GENERATORS[:rank])
-    for letter in letters:
-        moved = [
-            (i, reduce(_joined, [_inverted(images[j]) if inv else images[j] for j, inv in pieces]))
-            for i, pieces in rules[letter]
-        ]
-        for i, image in moved:
-            images[i] = image
+    for letter in w.letters:
+        named = dict(zip(_ALPHABETS[rank], images + list(map(_inverted, images))))
+        images = [_product(map(named.__getitem__, g.letters)) for g in table[letter].images]
         if sum(map(len, images)) > IMAGE_LETTER_LIMIT:
             raise ValueError(_IMAGE_TOO_LONG)
     return F2Morphism._make(tuple(FreeWord._make(s, rank) for s in images))
-
-
-_ARTIN_RULES = {rank: _seam_rules(table) for rank, table in _ARTIN.items()}
-
-
-def artin_action(w: BraidWord) -> F2Morphism:
-    """The action of the braid on the free group of rank `strands`."""
-    return _composed(w.strands, _ARTIN_RULES[w.strands], w.letters)
 
 
 def _inversions(perm: tuple[int, ...]) -> int:
@@ -484,20 +453,22 @@ _F2_ACTION = {
     for name, letter in _EMBED.items()
     for sign, act in ((1, generator), (-1, generator_inverse))
 }
-# each letter moves one image i to the join of images j and l, each
-# inverted when its flag says so; the unpacking checks that shape at import.
-# A row names slots of the images of a, b, a^-1 and b^-1 (slot s inverted is
-# s ^ 2): the moved one, then each piece, each followed by its inverse
+# each letter moves one image i to the product of two letters' images; a row names
+# slots of the images of a, b, a^-1 and b^-1 (slot s inverted is s ^ 2): the moved
+# one, then each piece, each followed by its inverse.  The unpacking checks that shape
 _F2_ACTION_RULES = {
-    letter: (i, i + 2, j + 2 * inv_j, j + 2 * (not inv_j), l + 2 * inv_l, l + 2 * (not inv_l))
-    for letter, ((i, ((j, inv_j), (l, inv_l))),) in _seam_rules(_F2_ACTION).items()
+    letter: (i, i + 2, s, s ^ 2, t, t ^ 2)
+    for letter, g in _F2_ACTION.items()
+    for ((i, (s, t)),) in [
+        [(i, map(_ALPHABETS[2].index, x.letters)) for i, x in enumerate(g.images) if x.letters != _GENERATORS[i]]
+    ]
 }
 
 
 def f2_action(w: BraidWord) -> F2Morphism:
     """The rank-two morphism of a four-strand braid: 1 -> G, 2 -> D^-1, 3 -> Gt, 4 -> Dt^-1.
 
-    The letters compose left to right as in :func:`_composed`, each by
+    The letters compose left to right as in :func:`artin_action`, each by
     one row of :data:`_F2_ACTION_RULES`: the image x y cancels as far as
     x^-1 and y share a prefix, and it and its inverse y^-1 x^-1 are two
     concatenations.  The morphism keeps the inverse images, which

@@ -63,12 +63,13 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
         if args.upper
         else christoffel_word(args.p, args.q)
     )
-    print(word)
-    if args.path:
-        _print_pairs(word_path(word))
+    # the drawing is written first, so that a run that fails on it prints nothing
     if args.svg is not None:
         with open(args.svg, "w", encoding="ascii") as handle:
             handle.write(path_svg(args.p, args.q, upper=args.upper))
+    print(word)
+    if args.path:
+        _print_pairs(word_path(word))
     return 0
 
 

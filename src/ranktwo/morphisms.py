@@ -218,7 +218,8 @@ class F2Morphism:
     def __mul__(self, other: F2Morphism) -> F2Morphism:
         if not isinstance(other, F2Morphism):
             return NotImplemented
-        return F2Morphism._make(self._apply(other._images))
+        out = self._apply(other._images)
+        return F2Morphism._make(out, self._inverses and [_inverted(w._s) for w in out])
 
     def __pow__(self, n: int) -> F2Morphism:
         if n < 0:

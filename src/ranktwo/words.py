@@ -165,15 +165,6 @@ def _product(runs: Iterable[str], inverses: Iterable[str] | None = None) -> str:
     return "".join([run[start:end] for run, _, start, end in stack])
 
 
-def _joined(x: str, y: str) -> str:
-    """The reduced product of two reduced words: x + y unless their seam cancels."""
-    if not x or not y or x[-1] != y[0].swapcase():
-        return x + y
-    m = min(len(x), len(y))
-    k = _common_prefix(_inverted(x[len(x) - m :]), y[:m])
-    return x[: len(x) - k] + y[k:]
-
-
 def _inverted(s: str) -> str:
     return s[::-1].translate(_SWAP)
 
@@ -276,7 +267,7 @@ class FreeWord:
         if not isinstance(other, FreeWord):
             return NotImplemented
         _check_same_rank(self._rank, other._rank)
-        return FreeWord._make(_joined(self._s, other._s), self._rank)
+        return FreeWord._make(_product((self._s, other._s)), self._rank)
 
     def __pow__(self, n: int) -> FreeWord:
         if n < 0:
@@ -331,9 +322,8 @@ class FreeWord:
     def conjugated_by(self, x: FreeWord) -> FreeWord:
         """x * self * x^-1, reduced."""
         _check_same_rank(self._rank, x._rank)
-        return FreeWord._make(
-            _product((x._s, self._s, _inverted(x._s))), self._rank
-        )
+        x, x_inverse = x._s, _inverted(x._s)
+        return FreeWord._make(_product((x, self._s, x_inverse), (x_inverse, None, x)), self._rank)
 
     def is_conjugate_to(self, other: FreeWord) -> bool:
         """Conjugacy test: cyclically reduce both sides, then compare cyclic rotations."""
@@ -353,7 +343,7 @@ class FreeWord:
 
     def commutes_with(self, other: FreeWord) -> bool:
         _check_same_rank(self._rank, other._rank)
-        return _joined(self._s, other._s) == _joined(other._s, self._s)
+        return _product((self._s, other._s)) == _product((other._s, self._s))
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -164,7 +164,7 @@ def test_artin_action_on_generators():
 
 def _reference_composed(rank: int, table: dict[int, F2Morphism], letters: tuple[int, ...]) -> F2Morphism:
     """The generator morphisms composed one product at a time; kept as an
-    oracle for the string composition by seam rules in _composed.
+    oracle for artin_action and f2_action, which compose images as strings.
 
     The product out * g is taken image by image, each image of g naming
     the images of out (and their inverses) to multiply, so that only the
@@ -858,6 +858,42 @@ def test_f2_action_keeps_the_inverse_images_it_applies_with():
         assert phi * psi == plain * psi, b
         assert f2_action_ext(ExtBraid(b, 1)) == plain * generator("E"), b
     assert folded >= 100, folded
+
+
+def test_products_keep_the_inverse_images_of_their_left_factor():
+    # a product whose left factor stores its inverse images stores those of its own
+    # images; one whose left factor stores none stores none
+    rng = random.Random(1925)
+    for _ in range(100):
+        b = BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(rng.randint(0, 24))])
+        phi = f2_action(b)
+        plain = F2Morphism(*phi.images)
+        for psi in (generator("E"), f2_action(BraidWord(4, [rng.choice(_LETTERS_4) for _ in range(6)]))):
+            out = phi * psi
+            assert out._inverses == [w.inverse().letters for w in out.images], (b, psi)
+            assert out == plain * psi and (plain * psi)._inverses is None, (b, psi)
+            assert (psi * phi)._inverses == (psi._inverses and [w.inverse().letters for w in (psi * phi).images])
+            w = FreeWord("".join(rng.choices("abAB", k=30)))
+            try:
+                expected = (plain * psi)(w)
+            except ValueError:  # past the letter limit, which then both refuse
+                with pytest.raises(ValueError, match="exceeds"):
+                    out(w)
+                continue
+            assert out(w) == expected, (b, psi, w)
+
+
+def test_reprs_of_braids():
+    assert repr(BraidWord(4, (1, -2))) == "BraidWord(4, [1, -2])"
+    assert repr(ExtBraid.mirror()) == "ExtBraid(BraidWord(4, []), flag=1)"
+
+
+@pytest.mark.parametrize(
+    "x", [FreeWord("ab"), generator("G"), Mat2(1, 1, 0, 1), BraidWord(4, (1,)), ExtBraid.mirror()]
+)
+def test_products_with_other_types_raise_type_error(x):
+    with pytest.raises(TypeError):
+        x * object()
 
 
 def test_f2_action_is_homomorphism():

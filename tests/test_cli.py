@@ -66,6 +66,14 @@ def test_christoffel_svg(capsys, tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_christoffel_svg_to_an_unwritable_file_prints_nothing(capsys, tmp_path):
+    target = tmp_path / "missing" / "path.svg"
+    code, out, err = run(capsys, "christoffel", "1", "1", "--path", "--svg", str(target))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.parent.exists()
+
+
 def test_christoffel_rejects_bad_pair(capsys):
     code, out, err = run(capsys, "christoffel", "2", "2")
     assert code == 2

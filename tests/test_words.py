@@ -16,7 +16,6 @@ from ranktwo.words import (
     _common_prefix,
     _has_inverse_pair,
     _inverted,
-    _joined,
     _product,
     _reduced,
     commutator,
@@ -161,7 +160,7 @@ def test_reduction_matches_reference_stack():
     for x, y in pairs:
         expected = _reference_reduced(x + y)
         rank = 4 if set(x + y) - set("abAB") else 2
-        assert _joined(x, y) == expected, (x, y)
+        assert _product((x, y)) == expected, (x, y)
         assert FreeWord(x, rank) * FreeWord(y, rank) == FreeWord._make(expected, rank), (x, y)
 
 
@@ -204,6 +203,13 @@ def _assert_products_agree(runs: list[str], expected: str) -> None:
     assert _product(runs, [_inverted(r) for r in runs]) == expected, runs
 
 
+def _assert_mixed_products_agree(runs: list[str], expected: str) -> None:
+    # the inverses of every other run, and None for the rest, starting either way
+    for parity in (0, 1):
+        inverses = [_inverted(r) if i % 2 == parity else None for i, r in enumerate(runs)]
+        assert _product(runs, inverses) == expected, (runs, inverses)
+
+
 def test_product_with_and_without_inverses_matches_the_reference_fold():
     # every split into reduced runs of every rank-2 word of up to 6 letters; of the
     # 7- and 8-letter words, the split at each cancelling pair only and one seeded
@@ -216,10 +222,13 @@ def test_product_with_and_without_inverses_matches_the_reference_fold():
             if n <= 6:
                 for runs in _splits(s):
                     _assert_products_agree(runs, expected)
+                    _assert_mixed_products_agree(runs, expected)
                 continue
             for cut in (0.0, 0.5):
                 cuts = [i for i in range(1, n) if s[i - 1] == s[i].swapcase() or rng.random() < cut]
-                _assert_products_agree([s[i:j] for i, j in zip([0] + cuts, cuts + [n])], expected)
+                runs = [s[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+                _assert_products_agree(runs, expected)
+                _assert_mixed_products_agree(runs, expected)
 
 
 def test_product_of_long_runs_with_cancelled_middles():
@@ -241,6 +250,27 @@ def test_product_of_long_runs_with_cancelled_middles():
                 product = _reference_reduced(product + run)
             _assert_products_agree(runs, product)
             assert _product(iter(runs), map(_inverted, runs)) == product
+
+
+def test_conjugated_by_matches_the_product_with_the_inverse():
+    # the seam x|u reads a slice of the inverse of x; seeded words on which it
+    # cancels partly, wholly (u = x^-1 y x leaves y), or past u into x^-1
+    rng = random.Random(1914)
+    for rank, alphabet in ((2, "abAB"), (4, "abcdABCD")):
+        for _ in range(500):
+            x = FreeWord("".join(rng.choices(alphabet, k=rng.randint(0, 40))), rank)
+            u = FreeWord("".join(rng.choices(alphabet, k=rng.randint(0, 40))), rank)
+            tail = x.letters[len(x) - rng.randint(0, len(x)) :]
+            for v in (u, FreeWord(_inverted(tail), rank) * u, x.inverse() * u * x, x.inverse()):
+                assert v.conjugated_by(x) == x * v * x.inverse(), (x, v)
+    x = FreeWord("abAAb")
+    assert x.inverse().conjugated_by(x) == x.inverse()
+    assert FreeWord("").conjugated_by(x) == FreeWord("")
+
+
+def test_free_word_iterates_its_letters():
+    assert list(FreeWord("abA")) == ["a", "b", "A"]
+    assert list(FreeWord("cD", 4)) == ["c", "D"]
 
 
 def _reference_common_prefix(s: str, t: str) -> int:
