@@ -9,135 +9,13 @@ whether a pair of words is a basis (``chains``).  Everything is integer
 exact; there is no floating point anywhere.
 """
 
-from .braids import (
-    SUITE_NAMES,
-    BraidWord,
-    ExtBraid,
-    acts_by_inner,
-    artin_action,
-    braid_equal,
-    delta,
-    embed_sturmian,
-    eq_mod_center,
-    f2_action,
-    f2_action_ext,
-    from_aut_generator,
-    gl2_image,
-    omega,
-    relation_suite,
-    to_b3,
-)
-from .chains import (
-    BasisVerdict,
-    EvenLengthError,
-    MaximalChain,
-    NotABasisError,
-    NotCyclicallyReducedError,
-    NotStandardPairError,
-    conjugate_bases,
-    in_same_chain,
-    is_basis,
-    is_basis_positive,
-    maximal_chain,
-    nielsen_dehn_oracle,
-    palindromize,
-    standard_pair_decompose,
-    step_backward,
-    step_forward,
-    sturmian_position,
-)
-from .christoffel import (
-    christoffel_basis,
-    christoffel_normal_form,
-    christoffel_path,
-    christoffel_word,
-    is_primitive,
-    path_svg,
-    satisfies_path_conditions,
-    upper_christoffel_word,
-    verify_factorization,
-    word_path,
-)
-from .morphisms import (
-    GENERATOR_NAMES,
-    SHEAR_L,
-    SHEAR_R,
-    F2Morphism,
-    Mat2,
-    SturmianWord,
-    eval_sturmian,
-    format_sturmian,
-    generator,
-    generator_inverse,
-    inner,
-    inner_witness,
-    is_special_sturmian,
-    parse_sturmian,
-    sturmian_inverse,
-)
-from .words import FreeWord, commutator
+from . import braids, chains, christoffel, morphisms, words
+from .braids import *
+from .chains import *
+from .christoffel import *
+from .morphisms import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisVerdict",
-    "BraidWord",
-    "EvenLengthError",
-    "ExtBraid",
-    "F2Morphism",
-    "FreeWord",
-    "GENERATOR_NAMES",
-    "Mat2",
-    "MaximalChain",
-    "NotABasisError",
-    "NotCyclicallyReducedError",
-    "NotStandardPairError",
-    "SHEAR_L",
-    "SHEAR_R",
-    "SUITE_NAMES",
-    "SturmianWord",
-    "acts_by_inner",
-    "artin_action",
-    "braid_equal",
-    "christoffel_basis",
-    "christoffel_normal_form",
-    "christoffel_path",
-    "christoffel_word",
-    "commutator",
-    "conjugate_bases",
-    "delta",
-    "embed_sturmian",
-    "eq_mod_center",
-    "eval_sturmian",
-    "f2_action",
-    "f2_action_ext",
-    "format_sturmian",
-    "from_aut_generator",
-    "generator",
-    "generator_inverse",
-    "gl2_image",
-    "in_same_chain",
-    "inner",
-    "inner_witness",
-    "is_basis",
-    "is_basis_positive",
-    "is_primitive",
-    "is_special_sturmian",
-    "maximal_chain",
-    "nielsen_dehn_oracle",
-    "omega",
-    "palindromize",
-    "parse_sturmian",
-    "path_svg",
-    "relation_suite",
-    "satisfies_path_conditions",
-    "standard_pair_decompose",
-    "step_backward",
-    "step_forward",
-    "sturmian_inverse",
-    "sturmian_position",
-    "to_b3",
-    "upper_christoffel_word",
-    "verify_factorization",
-    "word_path",
-]
+__all__ = sorted(braids.__all__ + chains.__all__ + christoffel.__all__ + morphisms.__all__ + words.__all__)

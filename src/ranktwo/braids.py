@@ -59,6 +59,12 @@ from .words import (
     _ALPHABETS, _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _common_prefix, _inverted, _product
 )
 
+__all__ = [
+    "SUITE_NAMES", "BraidWord", "ExtBraid", "acts_by_inner", "artin_action", "braid_equal", "delta",
+    "embed_sturmian", "eq_mod_center", "f2_action", "f2_action_ext", "from_aut_generator", "gl2_image",
+    "omega", "relation_suite", "to_b3",
+]
+
 # sigma_4 = delta sigma_3 delta^-1 and its inverse over sigma_1..sigma_3
 _EXPANSIONS = {4: (-3, -2, 1, 2, 3), -4: (-3, -2, -1, 2, 3)}
 _LETTERS = {3: frozenset((1, 2, -1, -2)), 4: frozenset((1, 2, 3, 4, -1, -2, -3, -4))}
@@ -76,7 +82,7 @@ class BraidWord:
     __slots__ = ("_strands", "_letters")
 
     def __init__(self, strands: int = 4, letters: Iterable[int] = ()) -> None:
-        valid = _LETTERS.get(strands)
+        valid = _LETTERS.get(strands) if isinstance(strands, int) else None
         if valid is None:
             raise ValueError("strands must be 3 or 4")
         letters = tuple(letters)

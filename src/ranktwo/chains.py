@@ -24,6 +24,13 @@ from typing import NamedTuple
 from .morphisms import SturmianWord, generator
 from .words import _SWAP, FreeWord, _common_prefix, _inverted, _shown, commutator
 
+__all__ = [
+    "BasisVerdict", "EvenLengthError", "MaximalChain", "NotABasisError", "NotCyclicallyReducedError",
+    "NotStandardPairError", "conjugate_bases", "in_same_chain", "is_basis", "is_basis_positive",
+    "maximal_chain", "nielsen_dehn_oracle", "palindromize", "standard_pair_decompose", "step_backward",
+    "step_forward", "sturmian_position",
+]
+
 _T = generator("T")
 
 WordPair = tuple[FreeWord, FreeWord]

@@ -17,6 +17,11 @@ import math
 from .chains import NotABasisError, _quadrant_map, nielsen_dehn_oracle
 from .words import IMAGE_LETTER_LIMIT, FreeWord, _shown
 
+__all__ = [
+    "christoffel_basis", "christoffel_normal_form", "christoffel_path", "christoffel_word", "is_primitive",
+    "path_svg", "satisfies_path_conditions", "upper_christoffel_word", "verify_factorization", "word_path",
+]
+
 Point = tuple[int, int]
 
 

@@ -31,6 +31,12 @@ from .words import (
     _ALPHABETS, _GENERATORS, IMAGE_LETTER_LIMIT, FreeWord, _check_same_rank, _inverted, _product, _reduced
 )
 
+__all__ = [
+    "GENERATOR_NAMES", "SHEAR_L", "SHEAR_R", "F2Morphism", "Mat2", "SturmianWord", "eval_sturmian",
+    "format_sturmian", "generator", "generator_inverse", "inner", "inner_witness", "is_special_sturmian",
+    "parse_sturmian", "sturmian_inverse",
+]
+
 
 def _power(x, n: int, out):
     """out * x^n for n >= 0, by repeated squaring."""

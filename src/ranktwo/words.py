@@ -12,6 +12,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Iterator
 
+__all__ = ["FreeWord", "commutator"]
+
 _GENERATORS = "abcd"
 _ALPHABETS = {2: "abAB", 3: "abcABC", 4: "abcdABCD"}
 # deletes the letters of each rank, so that what a word keeps is invalid
@@ -192,7 +194,8 @@ class FreeWord:
     __slots__ = ("_s", "_rank")
 
     def __init__(self, letters: str = "", rank: int = 2) -> None:
-        delete = _DELETE_ALPHABET.get(rank)
+        # 2.0 hashes and compares equal to 2, so only an int is looked up
+        delete = _DELETE_ALPHABET.get(rank) if isinstance(rank, int) else None
         if delete is None:
             raise ValueError("rank must be 2, 3 or 4")
         bad = letters.translate(delete)

@@ -1,0 +1,135 @@
+"""Mutants that the oracle tests of the fast paths must catch.
+
+Each row names a file under ``src/ranktwo``, an exact piece of its text,
+the text a plausible slip would leave there, and the tests that compare
+that fast path with a slow oracle.  For each row the script copies
+``src/`` to a temporary directory, makes the one replacement, and runs
+each named test on its own against the copy; each must fail.  Unpatched, the
+same tests must pass.  A row whose old text does not occur exactly once
+fails, so a change that rewrites a mutated line must update its row.
+
+Run from the repository root (tier-1 does not collect it)::
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_WORDS = "tests/test_words.py::"
+_MORPHISMS = "tests/test_morphisms.py::"
+_BRAIDS = "tests/test_braids.py::"
+
+# (file, old text, new text, test node ids)
+MUTANTS = [
+    # the common-prefix bisection skips the letter at mid; only words whose first
+    # mismatch lies past a 256-letter window reach it
+    ("words.py", "            k = mid\n", "            k = mid + 1\n", [
+        _WORDS + "test_common_prefix_finds_the_first_mismatch",
+    ]),
+    # the lowest differing bit, not byte, of the XOR window
+    ("words.py", "bit_length() - 1) >> 3)", "bit_length() - 1))", [
+        _WORDS + "test_common_prefix_finds_the_first_mismatch",
+        _WORDS + "test_common_prefix_matches_letter_loop",
+    ]),
+    # XOR windows read big-endian, so the lowest set bit is the last differing letter
+    ("words.py",
+     'x = _from_bytes(s[k:end].encode("ascii"), "little") ^ _from_bytes(\n'
+     '        t[k:end].encode("ascii"), "little"\n',
+     'x = _from_bytes(s[k:end].encode("ascii"), "big") ^ _from_bytes(\n'
+     '        t[k:end].encode("ascii"), "big"\n', [
+        _WORDS + "test_common_prefix_finds_the_first_mismatch",
+        _WORDS + "test_common_prefix_matches_letter_loop",
+    ]),
+    # the cancelled end of an earlier run read one letter too far into its inverse
+    ("words.py", "off = len(prev) - end\n", "off = len(prev) - end + 1\n", [
+        _WORDS + "test_conjugated_by_matches_the_product_with_the_inverse",
+        _WORDS + "test_product_of_long_runs_with_cancelled_middles",
+    ]),
+    # the XOR pair test of long words looks for the wrong byte
+    ("words.py", 'return b" " in x.to_bytes', 'return b"!" in x.to_bytes', [
+        _WORDS + "test_has_inverse_pair_in_long_words",
+        _WORDS + "test_has_inverse_pair_matches_the_substring_definition",
+    ]),
+    # an elementary generator's image keeps its one cancelling pair
+    ("morphisms.py", '.replace(x_inverse, image_inverse).replace(pair, "")', ".replace(x_inverse, image_inverse)", [
+        _MORPHISMS + "test_each_elementary_map_cancels_in_exactly_one_letter_pair",
+        _MORPHISMS + "test_apply_matches_substitute_then_reduce",
+    ]),
+    # the stored inverse images are sliced one generator off, so a letter folds with
+    # the inverse of its neighbour's image
+    ("morphisms.py", "images[rank:] + images[:rank]", "images[rank + 1:] + images[:rank + 1]", [
+        _BRAIDS + "test_products_keep_the_inverse_images_of_their_left_factor",
+        _BRAIDS + "test_f2_action_keeps_the_inverse_images_it_applies_with",
+    ]),
+    # x u x^-1 folded with x, not x^-1, as the inverse of its last run
+    ("words.py", "(x_inverse, None, x)", "(x, None, x)", [
+        _WORDS + "test_conjugated_by_matches_the_product_with_the_inverse",
+    ]),
+]
+
+# imports the package from the copy and checks that it did, then hands over to pytest;
+# exit 9, which pytest never uses, when the copy cannot be imported or was not
+_RUN = """
+import sys
+try:
+    import ranktwo
+except Exception as exc:
+    sys.exit(print("cannot import ranktwo:", exc) or 9)
+if not ranktwo.__file__.startswith(sys.argv[1]):
+    sys.exit(print("ranktwo imported from", ranktwo.__file__) or 9)
+import pytest
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def _run_tests(src: Path, tests: list[str]) -> int:
+    args = [sys.executable, "-c", _RUN, str(src), "-q", "-p", "no:cacheprovider", *tests]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):
+        print(result.stdout + result.stderr)
+    return result.returncode
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        started = time.perf_counter()
+        every_test = list(dict.fromkeys(t for *_, tests in MUTANTS for t in tests))
+        code = _run_tests(src, every_test)
+        print("unpatched: %s" % ("pass" if code == 0 else "FAIL (exit %d)" % code))
+        failed += code != 0
+        for file, old, new, tests in MUTANTS:
+            path = src / "ranktwo" / file
+            text = path.read_text()
+            label = "%s: %r -> %r" % (file, old.strip(), new.strip())
+            if text.count(old) != 1:
+                print("FAIL %s: the old text occurs %d times" % (label, text.count(old)))
+                failed += 1
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                # each test on its own; pytest exits 1 when a test fails, anything else is an error
+                missed = [test for test in tests if _run_tests(src, [test]) != 1]
+            finally:
+                path.write_text(text)
+            print("%s %s" % ("FAIL, not caught by %s:" % ", ".join(missed) if missed else "caught", label))
+            failed += bool(missed)
+        print("%d of %d checks failed in %.1f s" % (failed, len(MUTANTS) + 1, time.perf_counter() - started))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

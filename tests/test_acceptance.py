@@ -8,10 +8,13 @@ the summary lines too.
 
 from __future__ import annotations
 
+import inspect
 import random
+import types
 from contextlib import contextmanager
 from itertools import product
 
+import ranktwo
 from ranktwo.braids import (
     SUITE_NAMES,
     BraidWord,
@@ -275,3 +278,25 @@ def test_11_path_geometry():
                 upper = upper_christoffel_word(p, q)
                 assert upper == lower.reverse()
                 assert upper.is_conjugate_to(lower)
+
+
+def test_12_public_surface():
+    with criterion(12, "each public name is declared in one module's __all__ and re-exported flat by the package"):
+        modules = (ranktwo.braids, ranktwo.chains, ranktwo.christoffel, ranktwo.morphisms, ranktwo.words)
+        names = ranktwo.__all__
+        assert names == sorted(set(names))
+        public = [n for n in dir(ranktwo) if not n.startswith("_") and not inspect.ismodule(getattr(ranktwo, n))]
+        assert public == names
+        declared = [n for m in modules for n in m.__all__]
+        assert len(declared) == len(set(declared)) and sorted(declared) == names
+        for m in modules:
+            for name in m.__all__:
+                value = getattr(m, name)
+                assert getattr(ranktwo, name) is value
+                # a type alias such as SturmianWord is a class to inspect on Python 3.10
+                if (inspect.isfunction(value) or inspect.isclass(value)) and not isinstance(value, types.GenericAlias):
+                    assert value.__module__ == m.__name__, name
+        namespace = {}
+        exec("from ranktwo import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == names

@@ -80,6 +80,10 @@ def _scramble(rng: random.Random, letters: tuple[int, ...], rounds: int) -> Brai
 def test_validation():
     with pytest.raises(ValueError):
         BraidWord(5)
+    # 4.0 hashes and compares equal to 4, and a list cannot be hashed at all
+    for strands in (4.0, [4], 3.0, True):
+        with pytest.raises(ValueError, match=r"^strands must be 3 or 4$"):
+            BraidWord(strands, (1, 4))
     with pytest.raises(ValueError):
         BraidWord(4, (0,))
     with pytest.raises(ValueError):

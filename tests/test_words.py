@@ -667,6 +667,10 @@ def test_ranked_validation():
         FreeWord.generator(3, 4)
     with pytest.raises(ValueError):
         FreeWord("a", rank=3) * FreeWord("a", rank=4)
+    # 2.0 hashes and compares equal to 2, and a list cannot be hashed at all
+    for rank in (2.0, 4.0, [2], True):
+        with pytest.raises(ValueError, match=r"^rank must be 2, 3 or 4$"):
+            FreeWord("ab", rank=rank)
 
 
 def test_ranked_rank_two_matches_free_word():
