@@ -294,9 +294,6 @@ def _normalized(
     return su, sv, back, unmap
 
 
-_STEPS = {d: ("conjugate", d) for d in "abAB"}
-
-
 def _conjugated_along(x: str, w: str) -> tuple[int, str]:
     """Conjugate w by the inverse of each letter of x while that does not lengthen w.
 
@@ -319,23 +316,24 @@ def _conjugated_along(x: str, w: str) -> tuple[int, str]:
 def _conjugated_down(u: FreeWord, v: FreeWord, trace: list[TraceStep]) -> WordPair | None:
     """Conjugate the pair by forced letters until both words are cyclically reduced.
 
-    Appends a ("conjugate", d) step to trace per letter d and returns
-    the reduced pair, or None once the forced letter does not shorten
-    the pair.  With u = x core x^-1 the letters are those of x
-    inverted, while v follows; then those of v's new conjugator
-    inverted, while the core of u rotates.
+    Appends the forced letters to trace as one ("conjugate", letters)
+    step, if any, and returns the reduced pair, or None once the forced
+    letter does not shorten the pair.  With u = x core x^-1 the letters
+    are those of x inverted, while v follows; then those of v's new
+    conjugator inverted, while the core of u rotates.
     """
     core, x = u.cyclic_reduce()
     run, sv = _conjugated_along(x.letters, v.letters)
-    trace.extend(map(_STEPS.__getitem__, x.letters[:run].translate(_SWAP)))
-    if run < len(x):
-        return None
-    core_v, y = FreeWord._make(sv).cyclic_reduce()
-    run, su = _conjugated_along(y.letters, core.letters)
-    trace.extend(map(_STEPS.__getitem__, y.letters[:run].translate(_SWAP)))
-    if run < len(y):
-        return None
-    return FreeWord._make(su), core_v
+    letters, reduced = x.letters[:run], None
+    if run == len(x):
+        core_v, y = FreeWord._make(sv).cyclic_reduce()
+        run, su = _conjugated_along(y.letters, core.letters)
+        letters += y.letters[:run]
+        if run == len(y):
+            reduced = FreeWord._make(su), core_v
+    if letters:
+        trace.append(("conjugate", letters.translate(_SWAP)))
+    return reduced
 
 
 def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
@@ -344,8 +342,8 @@ def is_basis(u: FreeWord, v: FreeWord) -> BasisVerdict:
     The decision conjugates the pair until cyclically reduced, moves the
     abelianized images into the first quadrant (inverting v if needed),
     requires the outcome to be positive, and applies the chain
-    criterion.  Every normalization move lands in the trace, so a
-    positive verdict can be replayed back to the input.
+    criterion.  Every normalization move lands in the trace, the forced
+    conjugation as one step, so a positive verdict replays to the input.
 
     Each conjugation is forced: only conjugating a word that is not
     cyclically reduced by its own last letter shortens it, and any

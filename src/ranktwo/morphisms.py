@@ -121,15 +121,20 @@ class F2Morphism:
     cancellation.
     """
 
-    # _inverses: the letters of the inverse images when they came with the images, else None
-    __slots__ = ("_images", "_inverses")
+    # _inverses: the letters of the inverse images when they came with the images, else None;
+    # _permutation: a signed letter permutation's translate table, from the public constructor
+    __slots__ = ("_images", "_inverses", "_permutation")
 
     def __init__(self, *images: FreeWord) -> None:
         rank = len(images)
         if rank not in (2, 3, 4) or any(w.rank != rank for w in images):
             raise ValueError("a morphism of rank 2, 3 or 4 takes that many images of that rank")
         self._images = images
-        self._inverses = None
+        self._inverses = self._permutation = None
+        letters = "".join([w._s for w in images])
+        if len(letters) == rank and len(set(letters.lower())) == rank and all(images):
+            # a signed letter permutation sends reduced words to reduced words: one translate
+            self._permutation = str.maketrans(_ALPHABETS[rank], letters + letters.swapcase())
 
     @classmethod
     def identity(cls, rank: int = 2) -> F2Morphism:
@@ -164,22 +169,20 @@ class F2Morphism:
         # and the inverses, when given, be the inverted letters of each image
         phi = object.__new__(cls)
         phi._images = images
-        phi._inverses = inverses
+        phi._inverses, phi._permutation = inverses, None
         return phi
 
     def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
         rank = len(self._images)
         images = [img._s for img in self._images]
         lengths = list(map(len, images))
-        # long images cancel only at their seams, where they are folded; G, Gt, D, Dt and
-        # their inverses only in the one pair of _ELEMENTARY; other short images are written
-        # in C by one translate to digits and one replace per digit, then reduced
+        # a signed letter permutation is one translate; long images cancel only at their
+        # seams, where they are folded; G, Gt, D, Dt and their inverses only in the one pair
+        # of _ELEMENTARY; other short images are written in C by one translate to digits and
+        # one replace per digit, then reduced
         fold = sum(lengths) >= _FOLD_MEAN_LETTERS * rank
-        permutation = elementary = None
-        if not fold and lengths.count(1) == rank and len(set("".join(images).lower())) == rank:
-            # a signed letter permutation sends reduced words to reduced words: one translate
-            permutation = str.maketrans(_ALPHABETS[rank], "".join(images) + "".join(images).swapcase())
-        elif fold or not (elementary := _ELEMENTARY.get(tuple(images))):
+        permutation, elementary = None if fold else self._permutation, None
+        if not permutation and (fold or not (elementary := _ELEMENTARY.get(tuple(images)))):
             # the letter images in _ALPHABETS order, with the inverse images the morphism
             # came with, else inverting only those the words use
             inverses = self._inverses

@@ -345,8 +345,7 @@ class FreeWord:
         return a - len(s), b - len(s)
 
     def commutes_with(self, other: FreeWord) -> bool:
-        _check_same_rank(self._rank, other._rank)
-        return _product((self._s, other._s)) == _product((other._s, self._s))
+        return self * other == other * self
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:

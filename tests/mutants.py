@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _WORDS = "tests/test_words.py::"
 _MORPHISMS = "tests/test_morphisms.py::"
 _BRAIDS = "tests/test_braids.py::"
+_CHAINS = "tests/test_chains.py::"
 
 # (file, old text, new text, test node ids)
 MUTANTS = [
@@ -74,6 +75,30 @@ MUTANTS = [
     # x u x^-1 folded with x, not x^-1, as the inverse of its last run
     ("words.py", "(x_inverse, None, x)", "(x, None, x)", [
         _WORDS + "test_conjugated_by_matches_the_product_with_the_inverse",
+    ]),
+    # the conjugation's one trace step drops the letters of v's new conjugator
+    ("chains.py", "        letters += y.letters[:run]\n", "", [
+        _CHAINS + "test_conjugation_matches_reference_search",
+        _CHAINS + "test_is_basis_records_at_most_one_conjugation_first",
+    ]),
+    # images of rank distinct letters in all but one of them empty, such as "" and "ab",
+    # taken for a signed letter permutation
+    ("morphisms.py", "len(set(letters.lower())) == rank and all(images)", "len(set(letters.lower())) == rank", [
+        _MORPHISMS + "test_letter_permutations_match_substitute_then_reduce",
+    ]),
+    # the second quadrant's map without the inversion: it moves the fourth quadrant
+    ("chains.py", "lambda w: _T(w.inverse())", "lambda w: _T(w)", [
+        _CHAINS + "test_quadrant_maps_are_their_letter_forms",
+        _CHAINS + "test_conjugate_bases_round_trip_through_every_quadrant_map",
+    ]),
+    # the rotation along w^-1 taken when x runs further along w; "left > right" would be
+    # no slip, since x[c] cannot start both runs, so they tie only at 0 and agree there
+    ("chains.py", "if left >= right else", "if left <= right else", [
+        _CHAINS + "test_conjugation_matches_reference_search",
+    ]),
+    # the common ends stripped as far as the longer of the two runs
+    ("chains.py", "c = min(_common_prefix(x, w)", "c = max(_common_prefix(x, w)", [
+        _CHAINS + "test_conjugation_matches_reference_search",
     ]),
 ]
 

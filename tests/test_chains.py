@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from ranktwo.chains import (
     NotABasisError,
     NotCyclicallyReducedError,
     NotStandardPairError,
+    _QUADRANT_MAPS,
     _chain_span,
     _conjugated_down,
     conjugate_bases,
@@ -383,15 +385,13 @@ def test_is_basis_trace_conjugation_and_replay():
     assert verdict.is_basis
     assert verdict.reason == ""
     assert verdict.trace == (
-        ("conjugate", "B"),
-        ("conjugate", "A"),
+        ("conjugate", "BA"),
         ("quadrant-map", "id"),
         ("positive-pair", "abaab", "aba"),
         ("chain-length", 6),
     )
-    # replay the conjugations in reverse to recover the input
-    letters = [step[1] for step in verdict.trace if step[0] == "conjugate"]
-    w = _w("".join(reversed(letters)))
+    # replay the conjugation's letters in reverse to recover the input
+    w = _w(verdict.trace[0][1][::-1])
     final = next(step for step in verdict.trace if step[0] == "positive-pair")
     fu, fv = _w(final[1]), _w(final[2])
     assert u == fu.conjugated_by(w.inverse())
@@ -629,20 +629,23 @@ def test_conjugation_matches_reference_search():
     stuck_late = deep_bases = deep_stuck = deepest = 0
     for u, v in pairs:
         trace = []
-        assert (_conjugated_down(u, v, trace), trace) == _reference_conjugated_down(
-            u.letters, v.letters
-        ), (str(u), str(v))
+        reduced = _conjugated_down(u, v, trace)
+        expected, steps = _reference_conjugated_down(u.letters, v.letters)
+        # one step holds the letters the reference applies one at a time
+        joined = "".join(d for _, d in steps)
+        assert (reduced, trace) == (expected, [("conjugate", joined)] if steps else []), (str(u), str(v))
+        assert sum(len(step[1]) for step in trace) == len(steps)
         letters, stuck = _reference_conjugation(u, v)
         verdict = is_basis(u, v)
-        steps = [step[1] for step in verdict.trace if step[0] == "conjugate"]
-        assert steps == letters, (str(u), str(v))
+        applied = "".join(step[1] for step in verdict.trace if step[0] == "conjugate")
+        assert applied == "".join(letters), (str(u), str(v))
         assert (verdict.reason == "no conjugation shortens the pair") == stuck
         if letters and not stuck:
             # the rest of the decision is that of the conjugated-down pair
             x = FreeWord("".join(reversed(letters)))
             rest = is_basis(u.conjugated_by(x), v.conjugated_by(x))
             assert (verdict.is_basis, verdict.reason) == (rest.is_basis, rest.reason)
-            assert verdict.trace[len(letters):] == rest.trace
+            assert verdict.trace[1:] == rest.trace
             assert verdict.is_basis == nielsen_dehn_oracle(u, v)
         stuck_late += stuck and len(letters) >= 1
         deep_bases += verdict.is_basis and len(letters) >= 10
@@ -662,9 +665,75 @@ def test_deep_conjugation_runs_in_linear_time():
     verdict = is_basis(u, v)
     elapsed = time.perf_counter() - start
     assert verdict.is_basis and verdict.reason == ""
-    assert len(verdict.trace) == 64_003
+    # the 64,000 conjugating letters are one step: x inverted letter by letter
+    assert len(verdict.trace) == 4
+    assert verdict.trace[0] == ("conjugate", x.letters.swapcase())
     assert verdict.trace[-2] == ("positive-pair", u0.letters, v0.letters)
     assert elapsed < 0.5, elapsed
+    # a million letters, one cyclically reduced block repeated, still make one step
+    core, _ = _random_reduced(random.Random(65), 1000).cyclic_reduce()
+    x = _w((core.letters * (10**6 // len(core) + 1))[: 10**6])
+    verdict = is_basis(u0.conjugated_by(x), v0.conjugated_by(x))
+    assert verdict.is_basis and len(x) == 10**6 and len(verdict.trace) <= 5
+
+
+def test_is_basis_records_at_most_one_conjugation_first():
+    # bases and random pairs, conjugated by up to 300 letters; some get stuck part way
+    rng = random.Random(2027)
+    seen = Counter()
+    for i in range(2000):
+        if i % 2:
+            u, v = _automorphic_image(rng)
+        else:
+            u, v = _random_reduced(rng, rng.randint(1, 8)), _random_reduced(rng, rng.randint(1, 8))
+        x = _random_reduced(rng, rng.randint(0, 300))
+        u, v = u.conjugated_by(x), v.conjugated_by(x * _random_reduced(rng, rng.randint(0, 2)))
+        verdict = is_basis(u, v)
+        kinds = [step[0] for step in verdict.trace]
+        assert "conjugate" not in kinds[1:], (str(u), str(v))
+        # expanded letter by letter, the record is the reference's trace
+        _, steps = _reference_conjugated_down(u.letters, v.letters)
+        record = verdict.trace[0][1] if kinds[:1] == ["conjugate"] else ""
+        assert [("conjugate", d) for d in record] == steps, (str(u), str(v))
+        seen[verdict.is_basis, verdict.reason == "no conjugation shortens the pair", len(record) >= 100] += 1
+    # deep bases, deep non-bases that get stuck and ones that reduce fully all occur
+    assert min(seen[True, False, True], seen[False, True, True], seen[False, False, True]) >= 20, seen
+
+
+def _flipped(w: FreeWord, letters: str, reverse: bool = False) -> FreeWord:
+    """w with each letter of letters and its inverse swapped, read backwards if reverse."""
+    s = w.letters[::-1] if reverse else w.letters
+    return FreeWord("".join(ch.swapcase() if ch.lower() in letters else ch for ch in s))
+
+
+def test_quadrant_maps_are_their_letter_forms():
+    # T (a -> a, b -> B) inverts every b, so T(w^-1) is w reversed with every a inverted
+    forms = {
+        "id": lambda w: w,
+        "T-inv": lambda w: _flipped(w, "a", reverse=True),
+        "inv": lambda w: _flipped(w, "ab", reverse=True),
+        "T": lambda w: _flipped(w, "b"),
+    }
+    maps = {name: involution for _, name, involution in _QUADRANT_MAPS}
+    assert list(maps) == ["id", "T-inv", "inv", "T"]
+    words = [""]
+    for n in range(1, 7):
+        words += [w + ch for w in words if len(w) == n - 1 for ch in "abAB"
+                  if not w or w[-1] != ch.swapcase()]
+    assert len(words) == 1 + 4 * (3**6 - 1) // 2
+    rng = random.Random(3141)
+    pool = [_w(w) for w in words] + [_random_reduced(rng, rng.randint(7, 3000)) for _ in range(200)]
+    for w in pool:
+        for name, involution in maps.items():
+            assert involution(w) == forms[name](w), (name, str(w))
+    # Christoffel words outside the first quadrant are the first quadrant's under the maps
+    for p in range(0, 30):
+        for q in range(0, 30):
+            if math.gcd(p, q) != 1:
+                continue
+            w = christoffel_word(p, q)
+            for (sp, sq), name, _ in _QUADRANT_MAPS:
+                assert christoffel_word(sp * p, sq * q) == forms[name](w), (sp * p, sq * q)
 
 
 def test_in_same_chain():

@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from ranktwo import braids
 from ranktwo.christoffel import christoffel_basis
 from ranktwo.cli import _COMMANDS, main
+from ranktwo.words import FreeWord
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -102,6 +104,31 @@ def test_basis_test_oracle_and_trace(capsys):
         "step positive-pair ba b",
         "step chain-length 1",
     ]
+
+
+def test_basis_test_traces_a_deep_conjugation_as_one_step(capsys):
+    # a Christoffel basis conjugated by 200,000 seeded letters, decided and traced in well
+    # under a second: the words are too long for one argument of a process (at most
+    # 128 KiB on Linux), so they go to main directly
+    rng = random.Random(27)
+    x = ["a"]
+    while len(x) < 200_000:
+        letter = rng.choice("abAB")
+        if letter != x[-1].swapcase():
+            x.append(letter)
+    conjugator = FreeWord("".join(x))
+    u0, v0 = christoffel_basis((5, 3), (3, 2))
+    u, v = u0.conjugated_by(conjugator), v0.conjugated_by(conjugator)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis-test", u.letters, v.letters, "--trace")
+    elapsed = time.perf_counter() - start
+    lines = out.splitlines()
+    assert code == 0 and err == "" and len(lines) == 5
+    assert elapsed < 0.5, elapsed
+    assert lines[0] == "BASIS" and lines[2:] == [
+        "step quadrant-map id", "step positive-pair %s %s" % (u0, v0), "step chain-length 11",
+    ]
+    assert lines[1] == "step conjugate " + conjugator.letters.swapcase()
 
 
 def test_basis_test_rejects_bad_letters(capsys):
@@ -258,7 +285,7 @@ def test_readme_session(capsys):
     # every `$ ranktwo ...` command of the README prints what follows it there
     session = README.split("```sh\n$ ranktwo ", 1)[1].split("```", 1)[0]
     commands = ("ranktwo " + session).split("$ ")
-    assert len(commands) == 9
+    assert len(commands) == 10
     for block in commands:
         command, expected = block.split("\n", 1)
         argv = shlex.split(command)

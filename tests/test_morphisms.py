@@ -208,10 +208,13 @@ def test_letter_permutations_match_substitute_then_reduce():
     assert len(set(_signed_permutations(2))) == 8
     morphisms = _signed_permutations(2)
     morphisms += rng.sample(_signed_permutations(3), 12) + rng.sample(_signed_permutations(4), 24)
-    # one-letter images that repeat a generator are not permutations and must still reduce
+    # one-letter images that repeat a generator are not permutations and must still reduce,
+    # nor are rank distinct letters split over the images with one of them empty
     morphisms += [
         F2Morphism(FreeWord(x), FreeWord(y)) for x, y in ("aa", "aA", "Aa", "bB", "BB", "Bb")
     ] + [F2Morphism(*(FreeWord(x, 3) for x in images)) for images in ("abA", "cCb", "aab")]
+    morphisms += [F2Morphism(FreeWord(""), FreeWord("ab")), F2Morphism(FreeWord("bA"), FreeWord(""))]
+    morphisms += [F2Morphism(*(FreeWord(x, 3) for x in images)) for images in (("", "ca", "b"), ("a", "Bc", ""))]
     for phi in morphisms:
         rank = len(phi.images)
         alphabet = "abcd"[:rank] + "ABCD"[:rank]
