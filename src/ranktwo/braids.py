@@ -1,31 +1,31 @@
 """Words in the braid groups on three and four strands.
 
 A braid word is a sequence of nonzero generator indices, negative for
-inverses.  On four strands the index 4 is the paper's fourth letter,
-the conjugate sigma_4 = delta sigma_3 delta^-1, and every computation
-reads it as one letter, through tables built at import from its
-expansion sigma_3^-1 sigma_2^-1 sigma_1 sigma_2 sigma_3; in the rank-two
-action it is Dt^-1, by the paper's realization.  Equality of
-braids is decided by the Garside left normal form Delta^p A1 ... Ar,
-whose factors are permutation braids (Garside 1969; Thurston in Epstein
-et al., *Word Processing in Groups*, ch. 9): two words are equal exactly
-when their normal forms are, and the form costs O(L^2) table lookups in
-the word length L at worst.  Each letter is a power of Delta and one or
-two simple factors.  The word is read right to left, each letter
-multiplying the form on the left.  Since f Delta^p = Delta^p tau^p(f) for
-an involution tau, each factor enters behind the Delta power as tau^p of
-itself, so a Delta power costs nothing.  The faithful action on a free
-group of the same rank, :func:`artin_action`, stays as an independent
-oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i,
-and a word acts by composing the generator actions left to right, the
-same convention as for morphisms.  After each letter every image is one
-reduced product of the old images and their inverses, as the letter's
-generator morphism names them.  In the rank-two action :func:`f2_action`
-every letter moves one image, the product of two old ones.  The images
-are kept with their inverses, so a letter is one table row, one common
-prefix and two concatenations, and inverts nothing.  Those images grow
-exponentially with the word, so every free-group image is capped at
-:data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters after each letter.
+inverses.  On four strands the index 4 is the paper's fourth letter, the
+conjugate sigma_4 = delta sigma_3 delta^-1, and every computation reads
+it as one letter; in the rank-two action it is Dt^-1, by the paper's
+realization.  Equality of braids is decided by the left normal form
+delta^p A1 ... Ar of the dual Garside structure (Birman, Ko and Lee
+1998) with delta = sigma_1 ... sigma_(n-1), as in the paper: two words
+are equal exactly when their normal forms are, and the form costs O(L^2)
+table lookups in the word length L at worst.  Each letter is one simple
+factor: sigma_i is an atom, sigma_4 too, and sigma_i^-1 is delta^-1
+times one.  The word is read right to left, each letter multiplying the
+form on the left.  Since f delta^p = delta^p tau^p(f) for tau,
+conjugation by delta, of order n, each factor enters behind the delta
+power as tau^p of itself, so a delta power costs nothing.  The faithful
+action on a free group of the same rank, :func:`artin_action`, stays as
+an independent oracle: generator i sends x_i to x_i x_{i+1} x_i^-1 and
+x_{i+1} to x_i, and a word acts by composing the generator actions left
+to right, the same convention as for morphisms.  After each letter every
+image is one reduced product of the old images and their inverses, as
+the letter's generator morphism names them.  In the rank-two action
+:func:`f2_action` every letter moves one image, the product of two old
+ones.  The images are kept with their inverses, so a letter is one table
+row, one common prefix and two concatenations, and inverts nothing.
+Those images grow exponentially with the word, so every free-group
+image is capped at :data:`~ranktwo.words.IMAGE_LETTER_LIMIT` letters
+after each letter.
 
 A comparison first cancels the common prefix and suffix of its two
 words: P x S and P y S are equal exactly when x and y are, so only the
@@ -216,125 +216,125 @@ def artin_action(w: BraidWord) -> F2Morphism:
     return F2Morphism._make(tuple(FreeWord._make(s, rank) for s in images))
 
 
-def _inversions(perm: tuple[int, ...]) -> int:
-    return sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
+def _composed(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # the permutation of the braid product a b: a after b
+    return tuple(a[i] for i in b)
 
 
-def _garside_tables(
-    n: int,
-) -> tuple[int, list[int], list[int], list[int], list[int], list[int], dict[int, int]]:
-    """Tables of the permutation braids on n strands, indexed by descending length.
+def _reflection_length(p: tuple[int, ...]) -> int:
+    # the fewest transpositions whose product is p: its size minus its cycle count
+    cycles, seen = 0, set()
+    for i in p:
+        cycles += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = p[i]
+    return len(p) - cycles
 
-    So Delta is 0 and the identity is the last index.  Returns the table
-    size, then flat products ``mul[a * size + b]``, inverses, complements
-    a^-1 Delta, tau(a) = Delta^-1 a Delta, flat meets (longest common
-    left divisors) and each letter as (Delta power, simple factors):
-    (0, (sigma_i,)) for i > 0, and (-1, (tau(sigma_i^-1 Delta),)) for -i,
-    since sigma_i^-1 is Delta^-1 times that factor.
+
+def _dual_tables(n: int) -> tuple[list, list[list], dict[int, tuple[int, tuple[int, ...]]]]:
+    """The dual Garside structure on n strands (Birman, Ko and Lee 1998), delta = sigma_1 ... sigma_(n-1).
+
+    Its simple elements are the permutations p with l(p) + l(p^-1 c) = n - 1,
+    for the reflection length l and c the permutation of delta, indexed by
+    descending l: delta is 0 and the identity last.  Returns them; the step
+    rows ``steps[a][b]``, None when (a, b) is left-weighted, else (a m, m^-1 b)
+    for m the meet of a^-1 delta and b; and each letter as (delta power, the
+    n twists tau^k(f) of its one simple factor f), tau(f) = delta^-1 f delta:
+    f is the atom sigma_i with power 0 for i, delta sigma_i^-1 with power -1
+    for -i.  The atom sigma_4 is tau(sigma_1), by the paper's d s4 d^-1 = s1.
     """
-    perms = sorted(permutations(range(n)), key=_inversions, reverse=True)
-    size = len(perms)
-    index = {p: k for k, p in enumerate(perms)}
-    length = [_inversions(p) for p in perms]
-    mul = [index[tuple(a[i] for i in b)] for a in perms for b in perms]
-    inv = [index[tuple(sorted(range(n), key=p.__getitem__))] for p in perms]
-    comp = [mul[inv[a] * size] for a in range(size)]
-    tau = [mul[mul[a] * size] for a in range(size)]
-    # a left-divides b when the lengths add up: l(a) + l(a^-1 b) = l(b)
-    divisors = [
-        sum(1 << a for a in range(size) if length[a] + length[mul[inv[a] * size + b]] == length[b])
-        for b in range(size)
+    length = {p: _reflection_length(p) for p in permutations(range(n))}
+    inverse = {p: tuple(sorted(range(n), key=p.__getitem__)) for p in length}
+    atoms = [tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, n)) for i in range(1, n)]
+    c = reduce(_composed, atoms)
+    below_c = (p for p in length if length[p] + length[_composed(inverse[p], c)] == n - 1)
+    simple = sorted(below_c, key=length.get, reverse=True)
+    size = len(simple)
+    index = {p: k for k, p in enumerate(simple)}
+    # a^-1 b where a left-divides b, that is where the lengths add up
+    quotient = [
+        [index[q] if length[a] + length[q] == length[b] else None for b in simple for q in [_composed(inverse[a], b)]]
+        for a in simple
     ]
-    # the longest common divisor is the lowest common bit, by the ordering
-    common = (divisors[a] & divisors[b] for a in range(size) for b in range(size))
-    meet = [(c & -c).bit_length() - 1 for c in common]
-    letters = {}
-    for i in range(1, n):
-        s = index[tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, n))]
-        letters[i], letters[-i] = (0, (s,)), (-1, (tau[comp[s]],))
-    return size, mul, inv, comp, tau, meet, letters
-
-
-def _steps(tables: tuple) -> list[list]:
-    """One bubble step per pair of factors, in rows: ``steps[a][b]``.
-
-    None when (a, b) is left-weighted, else (a m, m^-1 b) for the meet m
-    of a^-1 Delta and b, which moves m from b onto a.
-    """
-    size, mul, inv, comp, _, meet, _ = tables
+    divisors = [sum(1 << a for a in range(size) if quotient[a][b] is not None) for b in range(size)]
+    tau = [index[_composed(_composed(inverse[c], p), c)] for p in simple]
 
     def step(a: int, b: int) -> tuple[int, int] | None:
-        m = meet[comp[a] * size + b]
-        return None if m == size - 1 else (mul[a * size + m], mul[inv[m] * size + b])
+        common = divisors[quotient[a][0]] & divisors[b]
+        m = (common & -common).bit_length() - 1  # the longest common divisor, by the ordering
+        return None if m == size - 1 else (index[_composed(simple[a], simple[m])], quotient[m][b])
 
-    return [[step(a, b) for b in range(size)] for a in range(size)]
+    twists = [list(range(size))]  # tau^k for k from 0 to n - 1
+    while len(twists) < n:
+        twists.append([tau[f] for f in twists[-1]])
+    if n == 4:
+        atoms.append(simple[tau[index[atoms[0]]]])
+    letters = {}
+    for i, t in enumerate(atoms, 1):
+        for letter, power, f in ((i, 0, t), (-i, -1, _composed(c, t))):
+            letters[letter] = (power, tuple(twist[index[f]] for twist in twists))
+    return simple, [[step(a, b) for b in range(size)] for a in range(size)], letters
 
 
-_GARSIDE = {n: _garside_tables(n) for n in (3, 4)}
-_STEPS = {n: _steps(tables) for n, tables in _GARSIDE.items()}
+_DUAL = {n: _dual_tables(n) for n in (3, 4)}
 
 
 NORMAL_FORM_LETTER_LIMIT = 2 ** 13
 """The most letters of a word that :func:`braid_equal` and :func:`eq_mod_center` compare.
 
-The normal form is quadratic at worst: at 8,192 letters 4^n (-2)^n, the
-slowest family known, takes 2.2 to 2.9 s, since each factor of each 4 is
-carried past every factor of (-2)^n, and (1 4 4)^n takes 1.4 to 1.8 s
-(2-vCPU VM; a random word of 8,192 letters takes 5 ms, and 1^n (-1)^n
-3 ms), so a longer word raises ValueError.  The limit counts the letters
-of each word as given, before the common ends are cancelled, so whether
-a word is refused does not depend on the word it is compared with.
+The normal form is quadratic at worst: at 8,192 letters 4^n (-2)^n,
+(1 4 4)^n and (1 2 -3)^n, the slowest families known, take 0.9 to 1.3 s,
+each entering factor being carried past most of the form, and (1 -2)^n
+0.5 to 0.8 s (three runs on a 2-vCPU VM; a random word of 8,192 letters
+takes 3 to 10 ms, and 1^n (-1)^n 2 ms), so a longer word raises
+ValueError.  The limit counts the letters of each word as given, before
+the common ends are cancelled, so whether a word is refused does not
+depend on the word it is compared with.
 """
 
 
 def _normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """The left normal form Delta^p A1 ... Ar of the braid, as (p, (A1, ..., Ar)).
+    """The left normal form delta^p A1 ... Ar of the braid, as (p, (A1, ..., Ar)).
 
-    Each factor indexes the permutation braids of :func:`_garside_tables`;
-    none is Delta or the identity, and each pair is left-weighted:
-    the meet of A(k-1)^-1 Delta and A(k) is the identity.  The word is
-    read right to left, and each letter left-multiplies the form by its
-    simple factors, last first, then by its precomputed Delta power.  A
-    factor f enters behind Delta^p as x = tau^p(f), since f Delta^p =
-    Delta^p tau^p(f), and is carried right by one row lookup in
-    :data:`_STEPS` per step (Thurston's left multiplication).  Only the
-    front factor can become Delta, and it joins p; a carry that becomes
-    the identity leaves the rest of the form as it was.
+    Each factor indexes the simple elements of :func:`_dual_tables`; none
+    is delta or the identity, and each pair is left-weighted: the meet of
+    A(k-1)^-1 delta and A(k) is the identity.  The word is read right to
+    left, and each letter delta^q f left-multiplies the form: its factor
+    enters behind delta^p as x = tau^p(f), since f delta^p = delta^p
+    tau^p(f), read off the letter's twists with p mod n, the order of tau,
+    and is carried right by one step row lookup per step (Thurston's left
+    multiplication); then p gains q.  Only the front factor can become
+    delta, and it joins p; a carry that becomes the identity leaves the
+    rest of the form as it was.
     """
-    size, _, _, _, tau, _, letters = _GARSIDE[w.strands]
-    steps = _STEPS[w.strands]
-    identity = size - 1
+    order = w._strands
+    _, steps, letters = _DUAL[order]
+    identity = len(steps) - 1
     p = 0
     # Ar ... A1 above the identity, which no factor steps past, so a carry
     # stops without a bounds test; a carry is stored only where it stops
     rev = [identity]
-    for letter in reversed(w.letters):
-        power, simple = letters[letter]
-        for f in reversed(simple):
-            # the twist is per factor: a Delta formed by the factor after
-            # this one (in the word) has already moved p
-            x = tau[f] if p & 1 else f
-            k = len(rev)
-            rev.append(x)
-            while True:
-                k -= 1
-                step = steps[x][rev[k]]
-                if not step:
-                    rev[k + 1] = x
-                    break
-                rev[k + 1], x = step
-                if x == identity:
-                    del rev[k]
-                    break
-            if not rev[-1]:  # Delta, index 0, can only form at the front
-                rev.pop()
-                p += 1
+    for letter in reversed(w._letters):
+        power, twisted = letters[letter]
+        x = twisted[p % order]
+        k = len(rev)
+        rev.append(x)
+        while True:
+            k -= 1
+            step = steps[x][rev[k]]
+            if not step:
+                rev[k + 1] = x
+                break
+            rev[k + 1], x = step
+            if x == identity:
+                del rev[k]
+                break
+        if not rev[-1]:  # delta, index 0, can only form at the front
+            rev.pop()
+            p += 1
         p += power
     return p, tuple(rev[:0:-1])
-
-
-# the letter table gets sigma_4 and its inverse, each Delta^-1 times two factors
-_GARSIDE[4][6].update({l: _normal_form(BraidWord._make(4, e)) for l, e in _EXPANSIONS.items()})
 
 
 def _middle_forms(w1: BraidWord, w2: BraidWord) -> tuple[tuple, tuple]:
@@ -376,18 +376,17 @@ def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:
 def eq_mod_center(w1: BraidWord, w2: BraidWord) -> bool:
     """Equality modulo the center of the four-strand group.
 
-    The center is generated by Delta^2 (which is delta^4), and
-    multiplying by it adds 2 to the Delta power of the left normal form
-    and leaves the factors alone.  So the braids agree modulo the center
-    exactly when their factors agree and their Delta powers differ by an
-    even number.  For z central, P x S = P y S z exactly when x = y z, so,
-    as in :func:`braid_equal`, only the differing middles x and y are
-    compared.
+    The center is generated by delta^4, the full twist, and multiplying
+    by it adds 4 to the delta power p of the left normal form and leaves
+    the factors alone.  So the braids agree modulo the center exactly
+    when their factors agree and their powers p agree mod 4.  For z
+    central, P x S = P y S z exactly when x = y z, so, as in
+    :func:`braid_equal`, only the differing middles x and y are compared.
     """
     if w1.strands != 4 or w2.strands != 4:
         raise ValueError("equality modulo the center applies to four-strand braids")
     (p1, factors1), (p2, factors2) = _middle_forms(w1, w2)
-    return factors1 == factors2 and (p1 - p2) % 2 == 0
+    return factors1 == factors2 and (p1 - p2) % 4 == 0
 
 
 _OMEGA_TABLE = {1: -2, -1: 2, 2: -1, -2: 1, 3: -4, -3: 4, 4: -3, -4: 3}

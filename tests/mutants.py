@@ -100,6 +100,21 @@ MUTANTS = [
     ("chains.py", "c = min(_common_prefix(x, w)", "c = max(_common_prefix(x, w)", [
         _CHAINS + "test_conjugation_matches_reference_search",
     ]),
+    # the center taken as generated by delta^2, not delta^4
+    ("braids.py", "(p1 - p2) % 4 == 0", "(p1 - p2) % 2 == 0", [
+        _BRAIDS + "test_eq_mod_center_tells_every_power_of_delta_from_the_center",
+    ]),
+    # a letter twisted by the parity of p, as in the classical structure, not by p mod n
+    ("braids.py", "twisted[p % order]", "twisted[p & 1]", [
+        _BRAIDS + "test_normal_form_matches_both_oracles_where_left_multiplication_branches",
+        _BRAIDS + "test_dual_and_classical_normal_forms_give_the_same_classes[4-5-37449-4887]",
+        _BRAIDS + "test_dual_and_classical_normal_forms_give_the_same_classes[3-8-87381-2589]",
+    ]),
+    # the inverse image concatenated whole where the seam cancels
+    ("braids.py", "images[i_inv] = yi[: len(yi) - k] + xi[k:]", "images[i_inv] = yi + xi", [
+        _BRAIDS + "test_f2_action_keeps_the_inverse_images_it_applies_with",
+        _BRAIDS + "test_f2_action_matches_the_composition_on_seeded_long_words",
+    ]),
 ]
 
 # imports the package from the copy and checks that it did, then hands over to pytest;
