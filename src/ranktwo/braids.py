@@ -344,7 +344,7 @@ def _middle_forms(w1: BraidWord, w2: BraidWord) -> tuple[tuple, tuple]:
     what the prefix leaves of the shorter word, so 1 1 1 against 1 1
     leaves 1 against the empty word.
     """
-    a, b = w1.letters, w2.letters
+    a, b = w1._letters, w2._letters
     if max(len(a), len(b)) > NORMAL_FORM_LETTER_LIMIT:
         raise ValueError("cannot compare braids of more than %d letters" % NORMAL_FORM_LETTER_LIMIT)
     n = min(len(a), len(b))
@@ -355,8 +355,8 @@ def _middle_forms(w1: BraidWord, w2: BraidWord) -> tuple[tuple, tuple]:
     while j < n - i and a[-1 - j] == b[-1 - j]:
         j += 1
     return (
-        _normal_form(BraidWord._make(w1.strands, a[i : len(a) - j])),
-        _normal_form(BraidWord._make(w1.strands, b[i : len(b) - j])),
+        _normal_form(BraidWord._make(w1._strands, a[i : len(a) - j])),
+        _normal_form(BraidWord._make(w1._strands, b[i : len(b) - j])),
     )
 
 
@@ -396,7 +396,7 @@ def omega(w: BraidWord) -> BraidWord:
     """The mirror involution: 1 <-> 2^-1 and 3 <-> 4^-1, letter by letter."""
     if w.strands != 4:
         raise ValueError("the mirror involution lives on four strands")
-    return BraidWord(4, tuple(_OMEGA_TABLE[l] for l in w.letters)).expand()
+    return BraidWord._make(4, tuple(_OMEGA_TABLE[l] for l in w._letters)).expand()
 
 
 class ExtBraid:
@@ -527,7 +527,7 @@ def to_b3(w: BraidWord) -> BraidWord:
     """Collapse a four-strand word to three strands: 1, 3 -> 1 and 2 -> 2."""
     if w.strands != 4:
         raise ValueError("only four-strand words collapse to three strands")
-    return BraidWord(3, tuple(_TO_B3[l] for l in w.expand().letters))
+    return BraidWord._make(3, tuple(_TO_B3[l] for l in w.expand()._letters))
 
 
 def acts_by_inner(w: BraidWord) -> bool:
@@ -539,7 +539,7 @@ def embed_sturmian(word: SturmianWord) -> BraidWord:
     """The braid of a positive tree word: G -> 1, Gt -> 3, D -> -2, Dt -> -4."""
     if not is_special_sturmian(word):
         raise ValueError("only positive words over G, Gt, D, Dt embed")
-    return BraidWord(4, tuple(_EMBED[name] for name, _ in word))
+    return BraidWord._make(4, tuple(_EMBED[name] for name, _ in word))
 
 
 def from_aut_generator(name: str) -> ExtBraid:
@@ -547,7 +547,7 @@ def from_aut_generator(name: str) -> ExtBraid:
     if name == "E":
         return ExtBraid.mirror()
     if name == "Dt":
-        return ExtBraid(BraidWord(4, (_EMBED[name],)), 0)
+        return ExtBraid(BraidWord._make(4, (_EMBED[name],)), 0)
     if name == "O":
         return ExtBraid.mirror() * ExtBraid(delta(), 0)
     raise ValueError("no braid lift is defined for %r; expected E, Dt or O" % (name,))
@@ -568,7 +568,7 @@ def _braid_domain() -> tuple:
     names.update({"g" + n: from_aut_generator(n) for n in ("E", "O", "Dt")})
     functions = {
         "w": lambda x: ExtBraid(omega(x.braid), x.flag),
-        "th": lambda x: ExtBraid(BraidWord(4, [-l for l in x.braid.expand().letters]), x.flag),
+        "th": lambda x: ExtBraid(BraidWord._make(4, tuple(-l for l in x.braid.expand()._letters)), x.flag),
     }
     return names, ExtBraid.inverse, _ext_power, functions
 

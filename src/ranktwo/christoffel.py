@@ -25,21 +25,19 @@ __all__ = [
 Point = tuple[int, int]
 
 
-def _validate_pair(p: int, q: int) -> None:
-    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-        raise ValueError("(%d, %d) must be coprime and not both zero" % (p, q))
-
-
-def _lower_letters(p: int, q: int) -> str:
-    """The lower Christoffel word of a coprime pair p, q >= 0, by partial quotients.
+def _lower_word(p: int, q: int) -> FreeWord:
+    """The lower Christoffel word of a coprime pair, any quadrant; the pair is not checked.
 
     G: b -> ab sends the word of (p, q) to that of (p + q, q), and
     D~: a -> ab sends it to that of (p, p + q) (Berstel, Lauve,
     Reutenauer and Saliola, *Combinatorics on Words*, 2008).  Euclid's
-    algorithm peels whole powers G^k: b -> a^k b and D~^k: a -> a b^k
-    down to (1, 0), (0, 1) or (1, 1), composed on the images (x, y) of
-    a and b as it goes: one concatenation each, and the word is x^p y^q.
+    algorithm on |p|, |q| peels whole powers G^k: b -> a^k b and
+    D~^k: a -> a b^k down to (1, 0), (0, 1) or (1, 1), composed on the
+    images (x, y) of a and b as it goes: one concatenation each.  The
+    quadrant map of (p, q) moves the word x^|p| y^|q| into its quadrant.
     """
+    _, involution = _quadrant_map((p, q), (p, q))
+    p, q = abs(p), abs(q)
     x, y = "a", "b"
     while p > 1 or q > 1:
         if p > q:
@@ -50,7 +48,7 @@ def _lower_letters(p: int, q: int) -> str:
             k = (q - 1) // p
             x += y * k
             q -= k * p
-    return x * p + y * q
+    return involution(FreeWord._make(x * p + y * q))
 
 
 def christoffel_word(p: int, q: int) -> FreeWord:
@@ -64,13 +62,14 @@ def christoffel_word(p: int, q: int) -> FreeWord:
     >>> str(christoffel_word(-5, 2))
     'bAAbAAA'
     """
-    _validate_pair(p, q)
+    # math.gcd reads |p| and |q|, and gcd(0, 0) is 0
+    if math.gcd(p, q) != 1:
+        raise ValueError("(%d, %d) must be coprime and not both zero" % (p, q))
     if abs(p) + abs(q) > IMAGE_LETTER_LIMIT:
         raise ValueError(
             "the Christoffel word of this pair exceeds %d letters" % IMAGE_LETTER_LIMIT
         )
-    _, involution = _quadrant_map((p, q), (p, q))
-    return involution(FreeWord._make(_lower_letters(abs(p), abs(q))))
+    return _lower_word(p, q)
 
 
 def upper_christoffel_word(p: int, q: int) -> FreeWord:
@@ -159,16 +158,15 @@ def christoffel_normal_form(u: FreeWord, v: FreeWord) -> tuple[FreeWord, FreeWor
     """
     if not nielsen_dehn_oracle(u, v):
         raise NotABasisError("(%s, %s) is not a basis" % (_shown(u), _shown(v)))
-    return christoffel_basis(u.abelianization(), v.abelianization())
+    # a basis abelianizes to a unimodular pair, both of whose vectors are coprime
+    return _lower_word(*u.abelianization()), _lower_word(*v.abelianization())
 
 
 def is_primitive(w: FreeWord) -> bool:
     """Whether w is part of some basis: a conjugate of a Christoffel word."""
     core, _ = w.cyclic_reduce()
     p, q = core.abelianization()
-    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-        return False
-    return core.is_conjugate_to(christoffel_word(p, q))
+    return math.gcd(p, q) == 1 and core.is_conjugate_to(_lower_word(p, q))
 
 
 def path_svg(p: int, q: int, upper: bool = False) -> str:

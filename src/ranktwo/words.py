@@ -27,7 +27,9 @@ and the image of a word under a morphism can be far longer than what
 describes them, so the functions that build them raise ValueError past
 this size instead of running out of time or memory.  For a braid the
 letters are summed over the generator images; a morphism image counts
-its letters before cancellation.
+its letters before cancellation.  ``is_primitive`` and
+``christoffel_normal_form``, whose words are no longer than their input,
+are not capped.
 """
 
 
@@ -82,8 +84,15 @@ _A_BITS, _B_BITS = bytes.maketrans(b"aAbB", b"\3\0\1\1"), bytes.maketrans(b"aAbB
 _from_bytes = int.from_bytes
 
 
-# the length from which _has_inverse_pair tests every seam by one XOR instead of
-# up to 2 * rank substring scans; below it the XOR's fixed cost is the larger
+def _seams(s: str) -> bytes:
+    """Each letter's ASCII code XOR the next one's (the last letter's code alone): 0x20, a
+    space, exactly at an inverse pair, so overlapping pairs as in ``aAa`` are all found."""
+    x = _from_bytes(s.encode("ascii"), "little")  # little-endian: x >> 8 starts at the second letter
+    return (x ^ x >> 8).to_bytes(len(s), "little")
+
+
+# the length from which _has_inverse_pair reads the seams instead of making
+# up to 2 * rank substring scans; below it their fixed cost is the larger
 _XOR_PAIR_LETTERS = 512
 
 
@@ -92,10 +101,7 @@ def _has_inverse_pair(s: str, rank: int) -> bool:
     for inverse, pair, reverse in _PAIRS[:rank]:
         if inverse in s:
             if len(s) >= _XOR_PAIR_LETTERS:
-                # two letters are inverse exactly when their ASCII codes XOR to 0x20, a space
-                b = s.encode("ascii")
-                x = _from_bytes(b[:-1], "little") ^ _from_bytes(b[1:], "little")
-                return b" " in x.to_bytes(len(b) - 1, "little")
+                return b" " in _seams(s)
             if pair in s or reverse in s:
                 return True
     return False
@@ -106,7 +112,7 @@ def _reduced(s: str, rank: int = 4) -> str:
 
     Two str.replace passes per generator of the rank remove most pairs
     (free reduction is confluent, so their order does not matter); the
-    pairs left over, found by one XOR, cut the word into reduced runs,
+    pairs left over, read off the seams, cut the word into reduced runs,
     whose product :func:`_product` takes, so the work is linear in len(s).
     """
     if not _has_inverse_pair(s, rank):
@@ -114,20 +120,13 @@ def _reduced(s: str, rank: int = 4) -> str:
     for inverse, pair, reverse in _PAIRS[:rank]:
         if inverse in s:
             s = s.replace(pair, "").replace(reverse, "")
-    if not _has_inverse_pair(s, rank):
-        return s
-    # a pair sits where a letter's byte XORs to zero with that of the next letter inverted,
-    # so overlapping pairs such as the two in "aAa" are all found
-    x = _from_bytes(s[:-1].encode("ascii"), "little") ^ _from_bytes(
-        s[1:].translate(_SWAP).encode("ascii"), "little"
-    )
-    seams = x.to_bytes(len(s) - 1, "little")
+    seams = _seams(s)
     cuts = []
-    i = seams.find(0)
+    i = seams.find(32)
     while i >= 0:
         cuts.append(i + 1)
-        i = seams.find(0, i + 1)
-    return _product([s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])])
+        i = seams.find(32, i + 1)
+    return _product([s[i:j] for i, j in zip([0] + cuts, cuts + [len(s)])]) if cuts else s
 
 
 def _product(runs: Iterable[str], inverses: Iterable[str] | None = None) -> str:

@@ -56,10 +56,21 @@ MUTANTS = [
         _WORDS + "test_conjugated_by_matches_the_product_with_the_inverse",
         _WORDS + "test_product_of_long_runs_with_cancelled_middles",
     ]),
-    # the XOR pair test of long words looks for the wrong byte
-    ("words.py", 'return b" " in x.to_bytes', 'return b"!" in x.to_bytes', [
+    # the pair test of long words looks for the wrong seam byte
+    ("words.py", 'return b" " in _seams(s)', 'return b"!" in _seams(s)', [
         _WORDS + "test_has_inverse_pair_in_long_words",
         _WORDS + "test_has_inverse_pair_matches_the_substring_definition",
+    ]),
+    # the pairs left after the replace passes looked for as the zero byte of the old
+    # XOR with the next letter inverted, so none is found and the word stays unreduced
+    ("words.py", "    i = seams.find(32)\n", "    i = seams.find(0)\n", [
+        _WORDS + "test_reduction_matches_reference_stack",
+    ]),
+    # a cut one letter early, before the pair's first letter instead of between its two;
+    # skipping the second of two overlapping pairs, as in "aAa", would be no slip, since
+    # that pair then starts a run and the fold cancels it against the run before
+    ("words.py", "cuts.append(i + 1)", "cuts.append(i)", [
+        _WORDS + "test_reduction_matches_reference_stack",
     ]),
     # an elementary generator's image keeps its one cancelling pair
     ("morphisms.py", '.replace(x_inverse, image_inverse).replace(pair, "")', ".replace(x_inverse, image_inverse)", [
@@ -96,6 +107,13 @@ MUTANTS = [
     ("chains.py", "if left >= right else", "if left <= right else", [
         _CHAINS + "test_conjugation_matches_reference_search",
     ]),
+    # the steps to the two ends of a chain swapped, back read off the common prefix
+    ("chains.py",
+     "return _common_prefix(uv[::-1], vu[::-1]), _common_prefix(uv, vu)",
+     "return _common_prefix(uv, vu), _common_prefix(uv[::-1], vu[::-1])", [
+        _CHAINS + "test_worked_chain",
+        _CHAINS + "test_chain_functions_match_reference_walk_exhaustively",
+    ]),
     # the common ends stripped as far as the longer of the two runs
     ("chains.py", "c = min(_common_prefix(x, w)", "c = max(_common_prefix(x, w)", [
         _CHAINS + "test_conjugation_matches_reference_search",
@@ -103,6 +121,7 @@ MUTANTS = [
     # the center taken as generated by delta^2, not delta^4
     ("braids.py", "(p1 - p2) % 4 == 0", "(p1 - p2) % 2 == 0", [
         _BRAIDS + "test_eq_mod_center_tells_every_power_of_delta_from_the_center",
+        _BRAIDS + "test_comparisons_cancel_common_ends_as_the_whole_normal_forms_say[4-alphabet1]",
     ]),
     # a letter twisted by the parity of p, as in the classical structure, not by p mod n
     ("braids.py", "twisted[p % order]", "twisted[p & 1]", [

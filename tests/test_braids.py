@@ -762,6 +762,15 @@ def test_comparisons_cancel_common_ends_as_the_whole_normal_forms_say(strands, a
             y = y[:k] + rng.choice(((1, 2, 3) * 4, (-3, -2, -1) * 4)) + y[k:]
         prefix, suffix = word(6), word(6)
         pairs.append((prefix + x + suffix, prefix + y + suffix))
+    # delta^k for every k from -7 to 7 at the front or back of a copy of a word; at
+    # the front the factors stay the word's, so only the delta powers, central
+    # exactly when 4 divides k, tell the two apart modulo the center
+    if strands == 4:
+        for k in range(-7, 8):
+            power = ((1, 2, 3) if k > 0 else (-3, -2, -1)) * abs(k)
+            for _ in range(10):
+                w = word(12)
+                pairs += [(w, power + w), (w + power, w)]
     seen = {"equal": 0, "central": 0, "images": 0}
     for a, b in pairs:
         w1, w2 = BraidWord(strands, a), BraidWord(strands, b)

@@ -48,7 +48,7 @@ def _reference_lower_letters(p: int, q: int) -> str:
 
 def _replaced_lower_letters(p: int, q: int) -> str:
     """The lower Christoffel word of a coprime pair p, q >= 0 by the same Euclid steps as
-    christoffel._lower_letters, applied to a^p b^q from the last up, one str.replace each;
+    christoffel._lower_word, applied to a^p b^q from the last up, one str.replace each;
     kept as an oracle for the word built by concatenation."""
     steps = []
     while p > 1 or q > 1:
@@ -342,6 +342,21 @@ def test_is_primitive():
     assert not is_primitive(FreeWord("abAB"))
     assert not is_primitive(FreeWord("aabb"))
     assert not is_primitive(FreeWord("abba"))
+
+
+def test_primitivity_and_normal_form_answer_past_the_letter_limit():
+    # their Christoffel words are no longer than the words given, so the cap that
+    # christoffel_word keeps does not apply to them; the expected words are
+    # written out, since christoffel_word(n, 1) is refused
+    n = IMAGE_LETTER_LIMIT
+    long = FreeWord("a" * n + "b")
+    assert is_primitive(long)
+    # abelianizes to the coprime (n + 1, 2), but its blocks of a are n and 1 letters
+    assert not is_primitive(FreeWord("a" * n + "bab"))
+    assert is_basis(long, FreeWord("a")).is_basis
+    assert christoffel_normal_form(long, FreeWord("a")) == (FreeWord("a" * n + "b"), FreeWord("a"))
+    with pytest.raises(ValueError, match="exceeds %d letters" % n):
+        christoffel_word(n, 1)
 
 
 def _build_mate(w: FreeWord) -> FreeWord:
