@@ -121,20 +121,14 @@ class F2Morphism:
     cancellation.
     """
 
-    # _inverses: the letters of the inverse images when they came with the images, else None;
-    # _permutation: a signed letter permutation's translate table, from the public constructor
-    __slots__ = ("_images", "_inverses", "_permutation")
+    # _inverses: the letters of the inverse images when they came with the images, else None
+    __slots__ = ("_images", "_inverses")
 
     def __init__(self, *images: FreeWord) -> None:
         rank = len(images)
         if rank not in (2, 3, 4) or any(w.rank != rank for w in images):
             raise ValueError("a morphism of rank 2, 3 or 4 takes that many images of that rank")
-        self._images = images
-        self._inverses = self._permutation = None
-        letters = "".join([w._s for w in images])
-        if len(letters) == rank and len(set(letters.lower())) == rank and all(images):
-            # a signed letter permutation sends reduced words to reduced words: one translate
-            self._permutation = str.maketrans(_ALPHABETS[rank], letters + letters.swapcase())
+        self._images, self._inverses = images, None
 
     @classmethod
     def identity(cls, rank: int = 2) -> F2Morphism:
@@ -168,21 +162,20 @@ class F2Morphism:
         # trusted constructor, the images must already share a rank of 2, 3 or 4,
         # and the inverses, when given, be the inverted letters of each image
         phi = object.__new__(cls)
-        phi._images = images
-        phi._inverses, phi._permutation = inverses, None
+        phi._images, phi._inverses = images, inverses
         return phi
 
     def _apply(self, words: tuple[FreeWord, ...]) -> tuple[FreeWord, ...]:
         rank = len(self._images)
         images = [img._s for img in self._images]
         lengths = list(map(len, images))
-        # a signed letter permutation is one translate; long images cancel only at their
-        # seams, where they are folded; G, Gt, D, Dt and their inverses only in the one pair
-        # of _ELEMENTARY; other short images are written in C by one translate to digits and
-        # one replace per digit, then reduced
+        # long images cancel only at their seams, where they are folded; short ones found in
+        # _BY_IMAGES are a rank-two signed letter permutation, which keeps words reduced, or
+        # G, Gt, D, Dt or an inverse, which cancel in one pair; other short images are written
+        # in C by one translate to digits and one replace per digit, then reduced
         fold = sum(lengths) >= _FOLD_MEAN_LETTERS * rank
-        permutation, elementary = None if fold else self._permutation, None
-        if not permutation and (fold or not (elementary := _ELEMENTARY.get(tuple(images)))):
+        fast = None if fold else _BY_IMAGES.get(tuple(images))
+        if not fast:
             # the letter images in _ALPHABETS order, with the inverse images the morphism
             # came with, else inverting only those the words use
             inverses = self._inverses
@@ -208,10 +201,10 @@ class F2Morphism:
             if fold:
                 runs = map(letter_images.__getitem__, s)
                 s = _product(runs, inverse_images and map(inverse_images.__getitem__, s))
-            elif permutation:
-                s = s.translate(permutation)
-            elif elementary:
-                x, image, x_inverse, image_inverse, pair = elementary
+            elif isinstance(fast, dict):
+                s = s.translate(fast)
+            elif fast:
+                x, image, x_inverse, image_inverse, pair = fast
                 s = s.replace(x, image).replace(x_inverse, image_inverse).replace(pair, "")
             else:
                 s = s.translate(_DIGITS[rank])
@@ -284,6 +277,12 @@ _ELEMENTARY = {
     images: _elementary(images)
     for name in ("D", "Dt", "G", "Gt")
     for images in (tuple(w.letters for w in phi.images) for phi in _GENERATORS_AND_INVERSES[name])
+}
+
+# by their images, for F2Morphism._apply: the _ELEMENTARY rows, and the translate tables of
+# the eight rank-two signed letter permutations (the identity, E, O, T and their products)
+_BY_IMAGES = _ELEMENTARY | {
+    (x, y): str.maketrans("abAB", x + y + (x + y).swapcase()) for x in "abAB" for y in "abAB" if x.lower() != y.lower()
 }
 
 

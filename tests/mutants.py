@@ -32,6 +32,10 @@ _CHAINS = "tests/test_chains.py::"
 
 # (file, old text, new text, test node ids)
 MUTANTS = [
+    # the letter loop of short words reports one shared letter too few when all are shared
+    ("words.py", "            k += 1\n        return n\n", "            k += 1\n        return n - 1\n", [
+        _WORDS + "test_common_prefix_matches_letter_loop",
+    ]),
     # the common-prefix bisection skips the letter at mid; only words whose first
     # mismatch lies past a 256-letter window reach it
     ("words.py", "            k = mid\n", "            k = mid + 1\n", [
@@ -61,6 +65,10 @@ MUTANTS = [
         _WORDS + "test_has_inverse_pair_in_long_words",
         _WORDS + "test_has_inverse_pair_matches_the_substring_definition",
     ]),
+    # the pair test of short words finds a pair only in the generator-first order, not "Aa"
+    ("words.py", "            if pair in s or reverse in s:\n", "            if pair in s:\n", [
+        _WORDS + "test_reduction_matches_reference_stack",
+    ]),
     # the pairs left after the replace passes looked for as the zero byte of the old
     # XOR with the next letter inverted, so none is found and the word stays unreduced
     ("words.py", "    i = seams.find(32)\n", "    i = seams.find(0)\n", [
@@ -83,6 +91,10 @@ MUTANTS = [
         _BRAIDS + "test_products_keep_the_inverse_images_of_their_left_factor",
         _BRAIDS + "test_f2_action_keeps_the_inverse_images_it_applies_with",
     ]),
+    # a run that cancels part of the run before keeps one letter too many of it
+    ("words.py", "top[3] = end - k\n", "top[3] = end - k + 1\n", [
+        _WORDS + "test_multiply_group_axioms_small",
+    ]),
     # x u x^-1 folded with x, not x^-1, as the inverse of its last run
     ("words.py", "(x_inverse, None, x)", "(x, None, x)", [
         _WORDS + "test_conjugated_by_matches_the_product_with_the_inverse",
@@ -92,10 +104,17 @@ MUTANTS = [
         _CHAINS + "test_conjugation_matches_reference_search",
         _CHAINS + "test_is_basis_records_at_most_one_conjugation_first",
     ]),
-    # images of rank distinct letters in all but one of them empty, such as "" and "ab",
-    # taken for a signed letter permutation
-    ("morphisms.py", "len(set(letters.lower())) == rank and all(images)", "len(set(letters.lower())) == rank", [
+    # a signed letter permutation's translate table maps the inverse letters like the letters
+    ("morphisms.py", "x + y + (x + y).swapcase()", "x + y + x + y", [
         _MORPHISMS + "test_letter_permutations_match_substitute_then_reduce",
+    ]),
+    # a letter and its inverse, such as "a" and "A", taken for a signed letter permutation
+    ("morphisms.py", "if x.lower() != y.lower()", "if x != y", [
+        _MORPHISMS + "test_letter_permutations_match_substitute_then_reduce",
+    ]),
+    # the short images written by the digits are left unreduced
+    ("morphisms.py", "                s = _reduced(s, rank)\n", "", [
+        _MORPHISMS + "test_elementary_maps_match_substitute_then_reduce",
     ]),
     # the second quadrant's map without the inversion: it moves the fourth quadrant
     ("chains.py", "lambda w: _T(w.inverse())", "lambda w: _T(w)", [
@@ -129,12 +148,24 @@ MUTANTS = [
         _BRAIDS + "test_dual_and_classical_normal_forms_give_the_same_classes[4-5-37449-4887]",
         _BRAIDS + "test_dual_and_classical_normal_forms_give_the_same_classes[3-8-87381-2589]",
     ]),
+    # the common suffix read on past the common prefix, so 1 1 1 against 1 1 compares
+    # the empty word with the empty word
+    ("braids.py", "while j < n - i and", "while j < n and", [
+        _BRAIDS + "test_equality_agrees_with_the_image_oracle_on_seeded_pairs",
+    ]),
+    # a one-letter image taken for one that does not cancel at the seam
+    ("braids.py", "        if xi[0] == y[0]:\n", "        if xi[0] == y[0] and len(y) > 1:\n", [
+        _BRAIDS + "test_actions_match_the_product_by_product_composition[4-alphabet1-5]",
+    ]),
     # the inverse image concatenated whole where the seam cancels
     ("braids.py", "images[i_inv] = yi[: len(yi) - k] + xi[k:]", "images[i_inv] = yi + xi", [
         _BRAIDS + "test_f2_action_keeps_the_inverse_images_it_applies_with",
         _BRAIDS + "test_f2_action_matches_the_composition_on_seeded_long_words",
     ]),
 ]
+# christoffel.py's "(p - 1) // q" read as "p // q" would be no slip: with p and q coprime
+# the two differ only when q = 1, and the loop then ends on x and y = x^(p-1) y, or on no
+# x and y = x^p y, both the word x^p y
 
 # imports the package from the copy and checks that it did, then hands over to pytest;
 # exit 9, which pytest never uses, when the copy cannot be imported or was not

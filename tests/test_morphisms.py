@@ -231,6 +231,22 @@ def test_letter_permutations_match_substitute_then_reduce():
         ]
 
 
+def test_products_of_letter_permutations_are_one_translate(monkeypatch):
+    # a product made by * is found by its images, like the permutations it multiplies,
+    # so it never reaches the general path, which reduces
+    def unreachable(s, rank=4):
+        raise AssertionError("reduced %r" % s)
+
+    monkeypatch.setattr(ranktwo.morphisms, "_reduced", unreachable)
+    products = [phi * psi for phi in _signed_permutations(2) for psi in _signed_permutations(2)]
+    rng = random.Random(6464)
+    assert len(products) == 64 and len(set(products)) == 8
+    for phi in products:
+        for n in (0, 1, 2, 5, 40, 200):
+            w = FreeWord("".join(rng.choices("abAB", k=n)))
+            assert phi(w).letters == _substituted_and_reduced(phi, w.letters), (phi, w)
+
+
 def test_apply_letter_limit():
     # a hundred alternating G D tokens would build about 10^21 letters
     for build in (
